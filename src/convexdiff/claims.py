@@ -11,6 +11,7 @@ bug cannot confirm itself. Growth tables back the quantitative conclusions.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .errors import InvalidInput, InvalidParams, TooLarge
 from .exact import (
     RealSet,
     difference_set,
-    is_convex,
+    gaps_increase,
     is_weakly_convex,
     restricted_difference_set,
 )
@@ -133,73 +134,72 @@ def verify_claim_2_2(n: int) -> Report:
     )
 
 
-def _membership_failures(n: int, s: RealSet, limit: int) -> list[str]:
-    """Elements of s that are not differences a_{i+k} - a_i, up to `limit` many.
+def _scale(s: RealSet, n5: int) -> tuple[list[int], list[str]]:
+    """Elements of s times n^5 as exact ints, and (as strings) the elements
+    whose denominator does not divide n^5, which no difference of the cubic
+    family can have."""
+    ints: list[int] = []
+    alien: list[str] = []
+    for x in s:
+        q, r = divmod(n5, x.denominator)
+        if r:
+            alien.append(str(x))
+        else:
+            ints.append(x.numerator * q)
+    return ints, alien
 
-    Works purely from the closed form: a candidate offset window [k_lo, k_hi]
-    is located by binary search on the monotone block extrema, then each
-    candidate block is binary-searched for an exact hit. Independent of how
-    s was assembled.
+
+def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
+    """Scaled values that are not differences a_{i+k} - a_i, up to `limit` many.
+
+    Works purely from the closed form d_i^(k) = 3k i^2 + (150n^3 k + 3k^2) i
+    + (k n^5 + 75n^3 k^2 + k^3): the candidate offsets [k_lo, k_hi] are found
+    by bisecting the monotone block extrema, then each candidate's quadratic
+    in i is solved exactly and the root confirmed. Independent of how the
+    values were assembled.
     """
     n5, n3 = n**5, n**3
-
-    def gap(k: int, i: int) -> int:
-        return (
-            k * n5 + 75 * n3 * (2 * k * i + k * k) + 3 * i * i * k + 3 * i * k * k + k**3
-        )
-
-    bad: list[str] = []
-    for x in s:
-        if n5 % x.denominator != 0:
-            bad.append(str(x))
-            if len(bad) >= limit:
-                break
-            continue
-        v = x.numerator * (n5 // x.denominator)
+    block_max = [_scaled_gap(n, k, n - k) for k in range(1, n)]
+    block_min = [_scaled_gap(n, k, 1) for k in range(1, n)]
+    bad: list[int] = []
+    for x in values:
+        v = abs(x)
         if v == 0:
             continue
-        if v < 0:
-            v = -v
-        lo, hi = 1, n - 1
-        while lo < hi:  # smallest k whose block maximum reaches v
-            mid = (lo + hi) // 2
-            if gap(mid, n - mid) >= v:
-                hi = mid
-            else:
-                lo = mid + 1
-        k_lo = lo if gap(lo, n - lo) >= v else n
-        lo, hi = 1, n - 1
-        while lo < hi:  # largest k whose block minimum stays below v
-            mid = (lo + hi + 1) // 2
-            if gap(mid, 1) <= v:
-                lo = mid
-            else:
-                hi = mid - 1
-        k_hi = lo if gap(lo, 1) <= v else 0
-        found = False
+        k_lo = bisect_left(block_max, v) + 1  # smallest k whose block maximum reaches v
+        k_hi = bisect_right(block_min, v)  # largest k whose block minimum stays <= v
         for k in range(k_lo, k_hi + 1):
-            lo_i, hi_i = 1, n - k
-            while lo_i < hi_i:
-                mid = (lo_i + hi_i) // 2
-                if gap(k, mid) >= v:
-                    hi_i = mid
-                else:
-                    lo_i = mid + 1
-            if gap(k, lo_i) == v:
-                found = True
+            lin = 150 * n3 * k + 3 * k * k
+            disc = lin * lin - 12 * k * (k * n5 + 75 * n3 * k * k + k**3 - v)
+            if disc < 0:
+                continue
+            root = math.isqrt(disc)
+            if root * root != disc:
+                continue
+            i, rem = divmod(root - lin, 6 * k)
+            if rem == 0 and 1 <= i <= n - k and _scaled_gap(n, k, i) == v:
                 break
-        if not found:
-            bad.append(str(x))
+        else:
+            bad.append(x)
             if len(bad) >= limit:
                 break
     return bad
 
 
+def _membership_failures(n: int, s: RealSet, limit: int) -> list[str]:
+    """Elements of s that are not differences a_{i+k} - a_i, up to `limit` many."""
+    n5 = n**5
+    ints, alien = _scale(s, n5)
+    bad = alien + [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit)]
+    return bad[:limit]
+
+
 def verify_thm1_size(n: int) -> Report:
     """Run the glue chain and re-verify convexity, membership, and the size bound.
 
-    The size must reach both the per-block count times the number of interior
-    blocks and the quadratic floor n^2/4000.
+    The glued set is scaled once to ints over n^5 and checked there. The size
+    must reach both the per-block count times the number of interior blocks
+    and the quadratic floor n^2/4000.
     """
     p = Thm1Params.for_n(n)
     s, trace = glue_chain(n)
@@ -215,10 +215,12 @@ def verify_thm1_size(n: int) -> Report:
         "members_verified": 0,
     }
     counterexample = None
-    if not is_convex(s):
+    n5 = n**5
+    ints, alien = _scale(s, n5)
+    if not alien and not gaps_increase(ints):
         counterexample = {"reason": "glued set is not convex"}
     else:
-        bad = _membership_failures(n, s, limit=3)
+        bad = (alien + [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit=3)])[:3]
         counts["members_verified"] = len(s) - len(bad)
         if bad:
             counterexample = {

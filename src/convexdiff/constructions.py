@@ -15,11 +15,21 @@ matching (t, n/2+t).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from .errors import InsufficientN, InvalidInput, InvalidParams, NoSplice
-from .exact import DifferenceBlock, ExactScalar, Matching, RealSet, as_exact, is_convex
+from .exact import (
+    DifferenceBlock,
+    ExactScalar,
+    Matching,
+    RealSet,
+    as_exact,
+    gaps_increase,
+    is_convex,
+)
 
 
 @dataclass(frozen=True)
@@ -67,11 +77,6 @@ class Thm1Params:
             k_max=k_max,
             i_max=i_max,
         )
-
-
-def _scaled_element(n: int, i: int) -> int:
-    """a_i scaled by n^5: i*n^5 + 75*i^2*n^3 + i^3."""
-    return i * n**5 + 75 * i * i * n**3 + i**3
 
 
 def _scaled_gap(n: int, k: int, i: int) -> int:
@@ -138,26 +143,26 @@ class GlueTrace:
         return {"splices": [{"k": r.k, "j": r.j, "i": r.i} for r in self.splices]}
 
 
-def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
-    """Glue convex B onto convex A across an interleaving splice.
+def _best_splice(ea: Sequence, eb: Sequence) -> Optional[tuple[int, int]]:
+    """The splice (i, j) glue_pair picks for sorted ea, eb, or None if none exists.
 
-    Searches for 1-based indices with b_i <= a_j < a_{j+1} <= b_{i+1} and
-    returns ({a_1..a_j, b_{i+1}..b_m}, (i, j)). Among valid splices the
-    output-size-maximizing one is chosen, ties broken by smallest i, which
-    makes the result a deterministic function of (A, B).
+    Only comparisons are made, so ea and eb may hold Fractions or the scaled
+    ints of the cubic family alike.
     """
-    if not is_convex(a):
-        raise InvalidInput("glue_pair: first argument is not convex")
-    if not is_convex(b):
-        raise InvalidInput("glue_pair: second argument is not convex")
-    ea, eb = a.elements, b.elements
     n, m = len(ea), len(eb)
+    if n < 2 or m < 2:
+        return None
+    # A valid j needs b_1 <= a_j and a_(j+1) <= b_m: bisect to that range,
+    # then one pass over j. Both scan positions are monotone because A increases.
+    j_start = bisect_left(ea, eb[0])
+    j_stop = bisect_right(ea, eb[-1]) - 1
+    if j_start >= j_stop:
+        return None
     best_size = -1
     best_i = best_j = 0
-    # One pass over j; both scan positions are monotone because A increases.
-    num_le = 0  # 1-based count of b-elements <= a_j
-    first_ge = 0  # 0-based position of first b-element >= a_{j+1}
-    for j_idx in range(n - 1):
+    num_le = bisect_right(eb, ea[j_start])  # 1-based count of b-elements <= a_j
+    first_ge = bisect_left(eb, ea[j_start + 1])  # 0-based position of first b >= a_(j+1)
+    for j_idx in range(j_start, j_stop):
         while num_le < m and eb[num_le] <= ea[j_idx]:
             num_le += 1
         while first_ge < m and eb[first_ge] < ea[j_idx + 1]:
@@ -168,30 +173,55 @@ def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
             size = (j_idx + 1) + (m - i_lo)
             if size > best_size or (size == best_size and i_lo < best_i):
                 best_size, best_i, best_j = size, i_lo, j_idx + 1
-    if best_size < 0:
+    return (best_i, best_j) if best_size >= 0 else None
+
+
+def _splice(ea: Sequence, eb: Sequence) -> tuple[Sequence, tuple[int, int]]:
+    """Check both sorted sequences convex, then splice them as glue_pair does."""
+    if not gaps_increase(ea):
+        raise InvalidInput("glue_pair: first argument is not convex")
+    if not gaps_increase(eb):
+        raise InvalidInput("glue_pair: second argument is not convex")
+    found = _best_splice(ea, eb)
+    if found is None:
         raise NoSplice(
             f"no interleaving b_i <= a_j < a_(j+1) <= b_(i+1) between the sets "
-            f"(|A|={n}, |B|={m})"
+            f"(|A|={len(ea)}, |B|={len(eb)})"
         )
-    merged = RealSet(ea[: best_j] + eb[best_i:])
-    return merged, (best_i, best_j)
+    i, j = found
+    return ea[:j] + eb[i:], found
+
+
+def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
+    """Glue convex B onto convex A across an interleaving splice.
+
+    Searches for 1-based indices with b_i <= a_j < a_{j+1} <= b_{i+1} and
+    returns ({a_1..a_j, b_{i+1}..b_m}, (i, j)). Among valid splices the
+    output-size-maximizing one is chosen, ties broken by smallest i, which
+    makes the result a deterministic function of (A, B).
+    """
+    merged, ij = _splice(a.elements, b.elements)
+    return RealSet(merged), ij
 
 
 def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     """Glue the blocks D_{k_min}, ..., D_{k_max} into one convex set.
 
-    Returns the running set and the trace of splices. A NoSplice from any
-    step propagates; for valid n that would contradict the interleaving
-    claim and is treated as a verification failure by callers.
+    Returns the running set and the trace of splices. The blocks are spliced
+    as ints scaled by n^5, with the same checks and choices as glue_pair on
+    thm1_block values; the result becomes a RealSet once, at the end. A
+    NoSplice from any step propagates; for valid n that would contradict the
+    interleaving claim and is treated as a verification failure by callers.
     """
     params = Thm1Params.for_n(n, strict)
-    running = thm1_block(n, params.k_min, strict).values
+    running = _scaled_block_values(n, params.k_min, params.i_max)
     records = []
     for k in range(params.k_min + 1, params.k_max + 1):
-        block = thm1_block(n, k, strict)
-        running, (i, j) = glue_pair(running, block.values)
+        block = _scaled_block_values(n, k, params.i_max)
+        running, (i, j) = _splice(running, block)
         records.append(SpliceRecord(k=k, j=j, i=i))
-    return running, GlueTrace(tuple(records))
+    n5 = n**5
+    return RealSet(tuple(Fraction(v, n5) for v in running)), GlueTrace(tuple(records))
 
 
 def thm2_matching(a: RealSet) -> Matching:

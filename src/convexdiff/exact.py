@@ -8,11 +8,13 @@ and every comparison is performed without rounding. Matching indices are
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Literal, Union
+from itertools import islice, pairwise, starmap
+from typing import Iterable, Iterator, Literal, Sequence, Union
 
 from .errors import InvalidInput, InvalidMatching
 
@@ -49,7 +51,8 @@ def scalar_from_json(obj: object) -> Fraction:
     if not isinstance(num_s, str) or not isinstance(den_s, str):
         raise InvalidInput("scalar num/den must be decimal strings")
     stripped = num_s[1:] if num_s.startswith("-") else num_s
-    if not stripped.isdigit() or not den_s.isdigit():
+    # isdigit() alone admits non-ASCII digits such as "²" or "١".
+    if not (stripped.isascii() and stripped.isdigit() and den_s.isascii() and den_s.isdigit()):
         raise InvalidInput(f"malformed scalar strings: num={num_s!r} den={den_s!r}")
     num, den = int(num_s), int(den_s)
     if den < 1:
@@ -141,15 +144,12 @@ class Matching:
         if not isinstance(obj, dict) or set(obj) != {"base_size", "pairs"}:
             raise InvalidInput("matching payload must have base_size and pairs")
         base_size, pairs = obj["base_size"], obj["pairs"]
-        if not isinstance(base_size, int) or not isinstance(pairs, list):
+        if type(base_size) is not int or not isinstance(pairs, list):
             raise InvalidInput("matching payload types: base_size int, pairs list")
-        try:
-            norm = tuple((int(p[0]), int(p[1])) for p in pairs)
-            if any(len(p) != 2 for p in pairs):
-                raise InvalidInput("each pair must have exactly two indices")
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InvalidInput(f"malformed pair list: {pairs!r}") from exc
-        return cls(base_size, norm)
+        for p in pairs:
+            if not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p):
+                raise InvalidInput(f"each pair must be a list of two int indices, got {p!r}")
+        return cls(base_size, tuple((lo, hi) for lo, hi in pairs))
 
 
 @dataclass(frozen=True)
@@ -168,32 +168,25 @@ class DifferenceBlock:
             )
 
 
+def gaps_increase(values: Sequence, strict: bool = True) -> bool:
+    """True when the consecutive gaps of a sorted sequence increase.
+
+    Strictly when `strict`, else never decreasing; sequences of length <= 2
+    qualify. Works on any exactly subtractable values: Fractions, or the
+    scaled ints of the cubic family.
+    """
+    gaps = map(operator.sub, islice(values, 1, None), values)
+    return all(starmap(operator.lt if strict else operator.le, pairwise(gaps)))
+
+
 def is_convex(s: RealSet) -> bool:
     """True when consecutive gaps strictly increase; sets of size <= 2 qualify."""
-    e = s.elements
-    if len(e) <= 2:
-        return True
-    prev = e[1] - e[0]
-    for t in range(1, len(e) - 1):
-        cur = e[t + 1] - e[t]
-        if cur <= prev:
-            return False
-        prev = cur
-    return True
+    return gaps_increase(s.elements)
 
 
 def is_weakly_convex(s: RealSet) -> bool:
     """True when consecutive gaps never decrease."""
-    e = s.elements
-    if len(e) <= 2:
-        return True
-    prev = e[1] - e[0]
-    for t in range(1, len(e) - 1):
-        cur = e[t + 1] - e[t]
-        if cur < prev:
-            return False
-        prev = cur
-    return True
+    return gaps_increase(s.elements, strict=False)
 
 
 def difference_set(a: RealSet) -> RealSet:

@@ -112,6 +112,23 @@ def test_membership_check_catches_alien_elements():
     assert all(isinstance(x, str) for x in fails)
 
 
+@pytest.mark.parametrize("n", [100, 300])
+def test_membership_check_agrees_with_difference_set(n):
+    d = cd.difference_set(cd.thm1_set(n))
+    nonzero = RealSet(tuple(x for x in d if x != 0))
+    assert _membership_failures(n, nonzero, limit=len(nonzero)) == []
+    assert _membership_failures(n, RealSet((0,)), limit=1) == []
+    off = F(1, n**5)
+    positive = [x for x in d if x > 0]
+    for shift in (-off, off):
+        shifted = RealSet(tuple(x + shift for x in positive))
+        fails = _membership_failures(n, shifted, limit=len(shifted))
+        assert fails == [str(x) for x in shifted]
+    # A denominator that does not divide n^5 is never a difference.
+    alien = positive[0] + F(1, 7 * n**5)
+    assert _membership_failures(n, RealSet((alien,)), limit=1) == [str(alien)]
+
+
 def test_claims3_exhaustive_frozen():
     r = cd.verify_claims_3(4)
     assert r.passed

@@ -210,3 +210,10 @@ def test_malformed_input_json_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["oracle", "lcs", "--in", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_non_ascii_digits_exit_2(tmp_path, capsys):
+    bad = tmp_path / "sup.json"
+    bad.write_text('{"elements": [{"num": "\u00b2", "den": "1"}]}', encoding="utf-8")
+    assert main(["oracle", "lcs", "--in", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -179,6 +179,32 @@ def test_glue_chain_runs_where_claim21_passes():
         assert cd.is_convex(s)
 
 
+def _reference_glue_chain(n, strict):
+    """The slow check: fold glue_pair over the Fraction blocks thm1_block(n, k)."""
+    p = Thm1Params.for_n(n, strict)
+    running = cd.thm1_block(n, p.k_min, strict).values
+    splices = []
+    for k in range(p.k_min + 1, p.k_max + 1):
+        running, (i, j) = cd.glue_pair(running, cd.thm1_block(n, k, strict).values)
+        splices.append((k, j, i))
+    return running, splices
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("n", [300, 400, 1000, 1100, 2000])
+def test_glue_chain_equals_glue_pair_fold(n, strict):
+    if strict and n < 1000:
+        with pytest.raises(InvalidParams):
+            cd.glue_chain(n, strict)
+        with pytest.raises(InvalidParams):
+            _reference_glue_chain(n, strict)
+        return
+    s, trace = cd.glue_chain(n, strict)
+    ref, ref_splices = _reference_glue_chain(n, strict)
+    assert s == ref
+    assert [(r.k, r.j, r.i) for r in trace.splices] == ref_splices
+
+
 def test_glue_trace_json():
     _, trace = cd.glue_chain(1000)
     assert trace.to_json() == {"splices": [{"k": 10, "j": 983, "i": 217}]}

@@ -51,6 +51,8 @@ def test_scalar_json_round_trip():
         {"num": "1"},
         {"num": "1", "den": "1", "extra": "x"},
         "3/4",
+        {"num": "\u00b2", "den": "1"},  # superscript two: isdigit() but not int()-able
+        {"num": "\u0661", "den": "1"},  # Arabic-Indic one: int() would read it as 1
     ],
 )
 def test_scalar_json_rejects(payload):
@@ -109,6 +111,11 @@ def test_matching_json_round_trip():
         Matching.from_json({"base_size": 4, "pairs": [[1]]})
     with pytest.raises(InvalidInput):
         Matching.from_json({"base_size": 4})
+    for pairs in ([[1.9, 3.2]], [["1", "3"]], [[True, 3]]):
+        with pytest.raises(InvalidInput):
+            Matching.from_json({"base_size": 4, "pairs": pairs})
+    with pytest.raises(InvalidInput):
+        Matching.from_json({"base_size": True, "pairs": []})
 
 
 def test_difference_block_count_checked():
