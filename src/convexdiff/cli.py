@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inp", help="input RealSet JSON (lcs, cm)")
     p.add_argument("--n", type=int, help="ground-set size (no4ap)")
     p.add_argument("--limit", type=int, help="override the exhaustive guard (cm)")
-    p.add_argument("--threads", type=int, default=1, help="accepted; results are identical for any value")
 
     p = sub.add_parser("verify", help="check a claim, report JSON on stdout")
     p.add_argument("kind", choices=["claim21", "claim22", "thm1size", "claims3"])
@@ -122,8 +121,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.threads < 1:
-        raise InvalidParams(f"--threads must be >= 1, got {args.threads}")
     if args.kind == "no4ap":
         if args.n is None:
             raise InvalidParams("oracle no4ap requires --n")

@@ -118,9 +118,12 @@ class Matching:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.base_size, int) or self.base_size < 0:
+        if type(self.base_size) is not int or self.base_size < 0:
             raise InvalidMatching(f"base_size must be a nonnegative int: {self.base_size!r}")
-        norm = tuple((int(lo), int(hi)) for lo, hi in self.pairs)
+        norm = tuple(tuple(p) for p in self.pairs)
+        for p in norm:
+            if len(p) != 2 or any(type(x) is not int for x in p):
+                raise InvalidMatching(f"each pair must be two int indices, got {p!r}")
         object.__setattr__(self, "pairs", norm)
         seen: set[int] = set()
         for lo, hi in norm:
@@ -189,20 +192,34 @@ def is_weakly_convex(s: RealSet) -> bool:
     return gaps_increase(s.elements, strict=False)
 
 
+def scaled_ints(elements: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The elements as ints over their least common denominator, and that denominator.
+
+    Multiplying by a positive constant keeps order, ties and convexity.
+    """
+    den = math.lcm(*(x.denominator for x in elements))
+    return [x.numerator * (den // x.denominator) for x in elements], den
+
+
+def _pairwise(a: RealSet, op) -> RealSet:
+    # Computed and sorted as ints over a common denominator, not as Fractions.
+    vals, den = scaled_ints(a.elements)
+    out = sorted({op(x, y) for x in vals for y in vals})
+    return RealSet(tuple(Fraction(v, den) for v in out))
+
+
 def difference_set(a: RealSet) -> RealSet:
     """All pairwise differences x - y, including 0 and negatives."""
     if len(a) == 0:
         raise InvalidInput("difference set of the empty set is undefined here")
-    vals = {x - y for x in a.elements for y in a.elements}
-    return RealSet(tuple(sorted(vals)))
+    return _pairwise(a, operator.sub)
 
 
 def sum_set(a: RealSet) -> RealSet:
     """All pairwise sums x + y (x = y allowed)."""
     if len(a) == 0:
         raise InvalidInput("sum set of the empty set is undefined here")
-    vals = {x + y for x in a.elements for y in a.elements}
-    return RealSet(tuple(sorted(vals)))
+    return _pairwise(a, operator.add)
 
 
 def restricted_difference_set(a: RealSet, m: Matching) -> RealSet:

@@ -1,23 +1,28 @@
-"""Kernels for the longest-convex-subsequence suffix DP table.
+"""Kernel for the longest-convex-subsequence suffix DP table.
 
 The table is g[a][t] = length of the longest convex subsequence that starts
-with elements at positions a < t, filled from the back:
+with elements at positions a < t:
 
-    g[a][t] = 2                      if no u > t has B[u] - B[t] > B[t] - B[a]
-    g[a][t] = 1 + max g[t][u]        over those u (first such u found by
-                                     binary search; the max over a suffix is
-                                     read from a running suffix-maximum row)
+    g[a][t] = 1 + max(g[t][lo:])   lo = first u > t with B[u] - B[t] > B[t] - B[a]
+    g[a][t] = 2                    if there is no such u (lo = m)
 
-Three interchangeable implementations, selected by the CONVEXDIFF_KERNEL
-environment variable ("auto", "numba", "numpy", "python"):
+It is filled column by column, t = m-1 down to 1. Every g[t][u] with u > t
+lies in a later column, so row t is complete when column t starts, and one
+suffix-maximum vector s of row t, with s[m] = 1, gives the whole column as
+1 + s[lo]. The entries are at most m <= MAX_TABLE, so the table is int16.
 
-  * numba  - @njit-compiled scalar loops over int64 arrays (fastest)
-  * numpy  - vectorized per-row searchsorted/gather over int64 arrays
-  * python - pure-Python lists; arbitrary-precision ints, no size limit on
-             values
+The two tiers differ only in how they find lo, and are selected by the
+CONVEXDIFF_KERNEL environment variable ("auto", "numpy", "python"):
+
+  * numpy  - one searchsorted call per column over int64 values; the table
+             is returned as the int16 ndarray
+  * python - Python ints of any size; within a column the thresholds
+             2*B[t] - B[a] grow as a falls, so lo only moves right and a
+             two-pointer scan finds it; the table is returned as a list of
+             lists
 
 Inputs whose values exceed the int64 safety bound always take the python
-tier regardless of the flag, since the fast tiers would overflow; exactness
+tier regardless of the flag, since the numpy tier would overflow; exactness
 wins over the selector.
 """
 
@@ -30,89 +35,45 @@ import numpy as np
 
 from .errors import InvalidInput, TooLarge
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    HAVE_NUMBA = False
-
 KERNEL_ENV = "CONVEXDIFF_KERNEL"
-KERNEL_CHOICES = ("auto", "numba", "numpy", "python")
+KERNEL_CHOICES = ("auto", "numpy", "python")
 
-# Two dense (m x m) int32 tables; 4096 keeps them near 134 MB total.
+# One dense (m x m) int16 table; 4096 keeps it near 34 MB (the python tier's
+# list of lists adds an 8-byte pointer per entry, near 134 MB).
 MAX_TABLE = 4096
 
 # Threshold arithmetic computes 2*b[t] - b[a]; 3x headroom below 2^63.
 INT64_SAFE = (2**63 - 1) // 4
 
 
-def _fill_scalar(b, g, sm):
-    # Shared source for the numba tier; plain-ndarray semantics only.
-    m = b.shape[0]
-    for a in range(m - 2, -1, -1):
-        for t in range(m - 1, a, -1):
-            th = 2 * b[t] - b[a]
-            lo = t + 1
-            hi = m
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if b[mid] > th:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            ext = sm[t, lo]
-            if ext >= 2:
-                g[a, t] = ext + 1
-            else:
-                g[a, t] = 2
-        best = 0
-        for t in range(m - 1, a, -1):
-            if g[a, t] > best:
-                best = g[a, t]
-            sm[a, t] = best
-
-
-if HAVE_NUMBA:
-    _fill_numba = njit(cache=True)(_fill_scalar)
-
-
-def _table_fast(values: list[int], use_numba: bool) -> np.ndarray:
-    b = np.asarray(values, dtype=np.int64)
-    m = b.shape[0]
-    g = np.zeros((m, m), dtype=np.int32)
-    sm = np.zeros((m, m + 1), dtype=np.int32)
-    if use_numba:
-        _fill_numba(b, g, sm)
-        return g
-    for a in range(m - 2, -1, -1):
-        tail = b[a + 1 :]
-        th = 2 * tail - b[a]
-        lo = np.searchsorted(b, th, side="right")
-        ext = sm[np.arange(a + 1, m), lo]
-        row = np.where(ext >= 2, ext + 1, 2).astype(np.int32)
-        g[a, a + 1 :] = row
-        sm[a, a + 1 : m] = np.maximum.accumulate(row[::-1])[::-1]
-    return g
-
-
-def _table_python(values: list[int]) -> list[list[int]]:
+def _scan_column(values: list[int], t: int) -> list[int]:
+    """lo for a = t-1 down to 0, by a two-pointer scan over Python ints."""
     m = len(values)
-    g = [[0] * m for _ in range(m)]
-    sm = [[0] * (m + 1) for _ in range(m)]
-    for a in range(m - 2, -1, -1):
-        row = g[a]
-        va = values[a]
-        for t in range(m - 1, a, -1):
-            lo = bisect_right(values, 2 * values[t] - va, t + 1)
-            ext = sm[t][lo]
-            row[t] = ext + 1 if ext >= 2 else 2
-        srow = sm[a]
-        best = 0
-        for t in range(m - 1, a, -1):
-            if row[t] > best:
-                best = row[t]
-            srow[t] = best
+    twice = 2 * values[t]
+    # Rows a < start have 2*b[t] - b[a] >= b[m-1], so lo = m.
+    start = bisect_right(values, twice - values[-1], 0, t)
+    lo, out = t + 1, []
+    for va in reversed(values[start:t]):
+        th = twice - va
+        while values[lo] <= th:  # stops by m-1, since th < b[m-1]
+            lo += 1
+        out.append(lo)
+    return out + [m] * start
+
+
+def _table(values: list[int], tier: str) -> np.ndarray:
+    m = len(values)
+    b = np.asarray(values, dtype=np.int64) if tier == "numpy" else None
+    g = np.zeros((m, m), dtype=np.int16)
+    s = np.ones(m + 1, dtype=np.int16)  # s[u] = max(g[t][u:]) for u > t; s[m] = 1
+    for t in range(m - 1, 0, -1):
+        s[t + 1 : m] = np.maximum.accumulate(g[t, :t:-1])[::-1]
+        if b is None:
+            lo = _scan_column(values, t)
+        else:
+            # a = t-1 down to 0, so the thresholds reach searchsorted ascending
+            lo = np.searchsorted(b, 2 * b[t] - b[t - 1 :: -1], side="right")
+        g[t - 1 :: -1, t] = s[lo] + 1
     return g
 
 
@@ -125,17 +86,13 @@ def resolve_kernel(int64_safe: bool, force: str | None = None) -> str:
         )
     if not int64_safe:
         return "python"
-    if choice == "numba" and not HAVE_NUMBA:
-        raise InvalidInput("kernel 'numba' requested but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
+    return "numpy" if choice == "auto" else choice
 
 
 def compute_table(values: list[int], force: str | None = None):
     """Build the suffix DP table for a strictly increasing list of ints.
 
-    Returns (table, tier). The table is an int32 ndarray for the fast tiers
+    Returns (table, tier). The table is an int16 ndarray for the numpy tier
     and a list of lists for the python tier; both index as table[a][t].
     """
     m = len(values)
@@ -145,14 +102,10 @@ def compute_table(values: list[int], force: str | None = None):
         raise TooLarge(f"{m} elements exceeds the table cap {MAX_TABLE}")
     safe = max(abs(values[0]), abs(values[-1])) <= INT64_SAFE
     tier = resolve_kernel(safe, force)
-    if tier == "python":
-        return _table_python(values), tier
-    return _table_fast(values, use_numba=(tier == "numba")), tier
+    table = _table(values, tier)
+    return (table if tier == "numpy" else table.tolist()), tier
 
 
 def available_tiers() -> tuple[str, ...]:
-    """Tiers that can actually run in this installation."""
-    tiers = ["numpy", "python"]
-    if HAVE_NUMBA:
-        tiers.insert(0, "numba")
-    return tuple(tiers)
+    """Tiers that can run in this installation: both, always."""
+    return ("numpy", "python")

@@ -9,16 +9,13 @@ and kernel tiers.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-import numpy as np
-
 from . import kernels
 from .errors import InvalidInput, TooLarge
-from .exact import Matching, RealSet, is_convex, restricted_difference_set
+from .exact import Matching, RealSet, is_convex, restricted_difference_set, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -37,12 +34,6 @@ class OracleResult:
         }
 
 
-def _scaled_ints(elements: tuple[Fraction, ...]) -> list[int]:
-    """Clear denominators: multiply by the lcm, preserving order and convexity."""
-    den = math.lcm(*(x.denominator for x in elements))
-    return [x.numerator * (den // x.denominator) for x in elements]
-
-
 def _ints_convex(vals: list[int]) -> bool:
     for t in range(1, len(vals) - 1):
         if vals[t + 1] - vals[t] <= vals[t] - vals[t - 1]:
@@ -57,17 +48,17 @@ def lcs_convex(b: RealSet) -> OracleResult:
         raise InvalidInput("lcs_convex needs a nonempty set")
     if m <= 2:
         return OracleResult(m, b, True)
-    scaled = _scaled_ints(b.elements)
+    scaled, _den = scaled_ints(b.elements)
     g, _tier = kernels.compute_table(scaled)
+    # One pass for the row maxima (entries g[a][t<=a] are 0); the witness
+    # starts at the first row reaching the maximum, at its first such column.
     if isinstance(g, list):
-        total = max(max(row[a + 1 :]) for a, row in enumerate(g[: m - 1]))
-        a1 = next(a for a in range(m - 1) if max(g[a][a + 1 :]) == total)
-        t1 = next(t for t in range(a1 + 1, m) if g[a1][t] == total)
+        row_best = [max(row) for row in g]
     else:
-        total = int(g.max())
-        row_best = g.max(axis=1)
-        a1 = int(np.argmax(row_best == total))
-        t1 = int(np.argmax(g[a1] == total))
+        row_best = g.max(axis=1).tolist()
+    total = max(row_best)
+    a1 = row_best.index(total)
+    t1 = next(t for t in range(a1 + 1, m) if g[a1][t] == total)
     seq = [a1, t1]
     p, q, need = a1, t1, total
     while need > 2:
@@ -91,7 +82,7 @@ def lcs_convex_bruteforce(b: RealSet, limit: int = 20) -> OracleResult:
         raise InvalidInput("lcs_convex_bruteforce needs a nonempty set")
     if m > limit:
         raise TooLarge(f"{m} elements exceeds the brute-force guard {limit}")
-    vals = _scaled_ints(b.elements)
+    vals, _den = scaled_ints(b.elements)
     for size in range(m, 0, -1):
         for combo in itertools.combinations(range(m), size):
             if _ints_convex([vals[t] for t in combo]):

@@ -116,17 +116,6 @@ def test_oracle_cm_guard_and_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["exhaustive"] is True
 
 
-def test_oracle_threads_flag(tmp_path, capsys):
-    inp = _write_set(tmp_path / "b.json", [1, 2, 4, 7, 9, 12])
-    assert main(["oracle", "lcs", "--in", inp, "--threads", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main(["oracle", "lcs", "--in", inp, "--threads", "4"]) == 0
-    four = capsys.readouterr().out
-    assert one == four
-    assert main(["oracle", "lcs", "--in", inp, "--threads", "0"]) == 2
-    capsys.readouterr()
-
-
 def test_verify_claim22_passes(capsys):
     assert main(["verify", "claim22", "--n", "1000"]) == 0
     out, err = capsys.readouterr()

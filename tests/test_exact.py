@@ -102,6 +102,18 @@ def test_matching_validation():
         Matching(4, ((1, 2), (2, 3)))
     with pytest.raises(InvalidMatching):
         Matching(-1, ())
+    # Entries are never coerced: floats, strings and bools are rejected.
+    for base_size, pairs in (
+        (4, ((1.9, 3.2),)),
+        (4, ((1.0, 3),)),
+        (4, (("1", "3"),)),
+        (4, ((True, 3),)),
+        (4, ((1, 2, 3),)),
+        (True, ()),
+        (4.0, ()),
+    ):
+        with pytest.raises(InvalidMatching):
+            Matching(base_size, pairs)
 
 
 def test_matching_json_round_trip():
@@ -147,6 +159,18 @@ def test_difference_set_example():
 def test_sum_set_example():
     s = cd.sum_set(RealSet((1, 2)))
     assert [int(x) for x in s] == [2, 3, 4]
+
+
+def test_pairwise_sets_match_fraction_sort():
+    # Mixed denominators: the int-keyed sets equal the sorted Fraction sets.
+    rng = random.Random(17)
+    for _ in range(30):
+        a = RealSet.from_values(
+            [F(rng.randrange(-60, 60), rng.choice((1, 2, 3, 4, 6, 7, 9, 10))) for _ in range(12)]
+        )
+        e = a.elements
+        assert cd.difference_set(a).elements == tuple(sorted({x - y for x in e for y in e}))
+        assert cd.sum_set(a).elements == tuple(sorted({x + y for x in e for y in e}))
 
 
 def test_empty_set_operators_rejected():

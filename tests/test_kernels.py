@@ -1,6 +1,7 @@
 """Kernel tier selection and cross-tier agreement for the subset table."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,9 +24,25 @@ def _random_scaled(rng, n):
     return vals
 
 
+def _ties(m):
+    """Inputs where b[u] - b[t] == b[t] - b[a] for many triples: such a u must not extend."""
+    squares = [i * i for i in range(1, m + 1)]
+    return [
+        list(range(0, 3 * m, 3)),  # arithmetic progression
+        list(range(-m, m)),
+        sorted({x - y for x in squares for y in squares}),
+        sorted({x + y for x in squares for y in squares}),
+    ]
+
+
+def _thm1_window(n, k, w):
+    """w consecutive values of a thm1 block, as ints over n^5."""
+    block = cd.thm1_block(n, k).values.elements[:w]
+    return [int(x * n**5) for x in block]
+
+
 def test_available_tiers_always_has_fallbacks():
-    tiers = available_tiers()
-    assert "python" in tiers and "numpy" in tiers
+    assert available_tiers() == ("numpy", "python")
 
 
 def test_compute_table_guards():
@@ -36,8 +53,9 @@ def test_compute_table_guards():
 
 
 def test_force_bad_name_rejected():
-    with pytest.raises(InvalidInput):
-        compute_table([1, 2, 4], force="turbo")
+    for name in ("turbo", "numba"):
+        with pytest.raises(InvalidInput):
+            compute_table([1, 2, 4], force=name)
 
 
 def test_env_flag_selects_tier(monkeypatch):
@@ -91,13 +109,14 @@ def test_python_tier_handles_big_integers_exactly():
 
 
 def test_table_entries_are_suffix_lengths():
-    # g[a][t] = longest convex subset of B starting with (B[a], B[t])
+    # g[a][t] = longest convex subset of B starting with (B[a], B[t]), on every tier
     rng = random.Random(5)
-    for _ in range(20):
-        vals = _random_scaled(rng, rng.randrange(2, 12))
+    inputs = [_random_scaled(rng, rng.randrange(2, 12)) for _ in range(20)]
+    inputs += _ties(2) + _ties(3) + _ties(5)
+    for vals in inputs:
         m = len(vals)
-        table, _ = compute_table(vals, force="python")
 
+        @lru_cache(maxsize=None)
         def best(a, t):
             out = 2
             for u in range(t + 1, m):
@@ -105,6 +124,24 @@ def test_table_entries_are_suffix_lengths():
                     out = max(out, 1 + best(t, u))
             return out
 
-        for a in range(m):
-            for t in range(a + 1, m):
-                assert int(table[a][t]) == best(a, t)
+        for tier in available_tiers():
+            table, used = compute_table(vals, force=tier)
+            assert used == tier
+            for a in range(m):
+                for t in range(a + 1, m):
+                    assert int(table[a][t]) == best(a, t), (tier, vals, a, t)
+
+
+def test_int64_boundary_routes_to_python_with_identical_table():
+    # Translation keeps every gap comparison, so the big-int copy of an input
+    # must give the same table on the python tier as the input on numpy.
+    rng = random.Random(6)
+    inputs = [_random_scaled(rng, rng.randrange(2, 40)) for _ in range(20)]
+    inputs += _ties(8) + [_thm1_window(300, 3, 40)]
+    for vals in inputs:
+        assert max(abs(vals[0]), abs(vals[-1])) <= INT64_SAFE
+        table, tier = compute_table(vals)
+        shifted, big_tier = compute_table([x + 10**30 for x in vals])
+        assert (tier, big_tier) == ("numpy", "python")
+        assert isinstance(shifted, list)
+        assert table.tolist() == shifted

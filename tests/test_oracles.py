@@ -59,6 +59,20 @@ def test_lcs_agrees_with_bruteforce():
         assert fast.witness == slow.witness  # identical lexicographic tie-break
 
 
+def test_lcs_big_int_table_gives_the_same_witness():
+    # Shifted past the int64 bound, the DP runs on the python tier's list
+    # table; value and lexicographically first witness must not change.
+    rng = random.Random(46)
+    shift = 10**30
+    for _ in range(60):
+        n = rng.randrange(3, 13)
+        b = RealSet.from_values(rng.sample(range(120), n))
+        big = cd.lcs_convex(RealSet.from_values([x + shift for x in b]))
+        slow = cd.lcs_convex_bruteforce(b)
+        assert big.value == slow.value
+        assert [x - shift for x in big.witness] == list(slow.witness)
+
+
 def test_lcs_agrees_on_rational_sets():
     rng = random.Random(44)
     for _ in range(40):
