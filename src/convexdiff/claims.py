@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 
 from .constructions import (
     Thm1Params,
+    _glue_scaled,
     _scaled_block_values,
     _scaled_gap,
     glue_chain,
@@ -155,12 +156,15 @@ def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
     Works purely from the closed form d_i^(k) = 3k i^2 + (150n^3 k + 3k^2) i
     + (k n^5 + 75n^3 k^2 + k^3): the candidate offsets [k_lo, k_hi] are found
     by bisecting the monotone block extrema, then each candidate's quadratic
-    in i is solved exactly and the root confirmed. Independent of how the
-    values were assembled.
+    in i is solved exactly and the root confirmed by evaluating the closed
+    form at it. The coefficients depend on k alone and are computed once per
+    candidate offset. Independent of how the values were assembled.
     """
     n5, n3 = n**5, n**3
     block_max = [_scaled_gap(n, k, n - k) for k in range(1, n)]
     block_min = [_scaled_gap(n, k, 1) for k in range(1, n)]
+    # k -> (lin, const, lin^2 - 12k*const): the discriminant is that + 12k*v.
+    coeffs: dict[int, tuple[int, int, int]] = {}
     bad: list[int] = []
     for x in values:
         v = abs(x)
@@ -169,15 +173,20 @@ def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
         k_lo = bisect_left(block_max, v) + 1  # smallest k whose block maximum reaches v
         k_hi = bisect_right(block_min, v)  # largest k whose block minimum stays <= v
         for k in range(k_lo, k_hi + 1):
-            lin = 150 * n3 * k + 3 * k * k
-            disc = lin * lin - 12 * k * (k * n5 + 75 * n3 * k * k + k**3 - v)
+            c = coeffs.get(k)
+            if c is None:
+                lin = 150 * n3 * k + 3 * k * k
+                const = k * n5 + 75 * n3 * k * k + k**3
+                c = coeffs[k] = (lin, const, lin * lin - 12 * k * const)
+            lin, const, disc0 = c
+            disc = disc0 + 12 * k * v
             if disc < 0:
                 continue
             root = math.isqrt(disc)
             if root * root != disc:
                 continue
             i, rem = divmod(root - lin, 6 * k)
-            if rem == 0 and 1 <= i <= n - k and _scaled_gap(n, k, i) == v:
+            if rem == 0 and 1 <= i <= n - k and const + (lin + 3 * k * i) * i == v:
                 break
         else:
             bad.append(x)
@@ -197,17 +206,18 @@ def _membership_failures(n: int, s: RealSet, limit: int) -> list[str]:
 def verify_thm1_size(n: int) -> Report:
     """Run the glue chain and re-verify convexity, membership, and the size bound.
 
-    The glued set is scaled once to ints over n^5 and checked there. The size
-    must reach both the per-block count times the number of interior blocks
-    and the quadratic floor n^2/4000.
+    The glued set is checked on its ints over n^5, as the glue chain makes
+    them: strictly increasing and convex, every element a difference by the
+    closed form. The size must reach both the per-block count times the
+    number of interior blocks and the quadratic floor n^2/4000.
     """
     p = Thm1Params.for_n(n)
-    s, trace = glue_chain(n)
+    ints, trace = _glue_scaled(n, False)
     per_block = _ceil_div(151 * n, 540)
     interior = max(p.k_max - p.k_min - 1, 0)
     required = max(per_block * interior, _ceil_div(n * n, 4000))
     counts = {
-        "size": len(s),
+        "size": len(ints),
         "per_block_bound": per_block,
         "interior_blocks": interior,
         "required": required,
@@ -215,22 +225,23 @@ def verify_thm1_size(n: int) -> Report:
         "members_verified": 0,
     }
     counterexample = None
-    n5 = n**5
-    ints, alien = _scale(s, n5)
-    if not alien and not gaps_increase(ints):
+    # A positive first gap and increasing gaps make every gap positive.
+    increasing = len(ints) < 2 or ints[1] > ints[0]
+    if not (increasing and gaps_increase(ints)):
         counterexample = {"reason": "glued set is not convex"}
     else:
-        bad = (alien + [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit=3)])[:3]
-        counts["members_verified"] = len(s) - len(bad)
+        n5 = n**5
+        bad = [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit=3)]
+        counts["members_verified"] = len(ints) - len(bad)
         if bad:
             counterexample = {
                 "reason": "element outside the difference set",
                 "elements": bad,
             }
-        elif len(s) < required:
+        elif len(ints) < required:
             counterexample = {
                 "reason": "size below bound",
-                "size": len(s),
+                "size": len(ints),
                 "required": required,
             }
     return Report(
@@ -311,6 +322,8 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
     """
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise InvalidParams(f"claims-3 harness supports 2 <= n <= 8, got {n!r}")
+    if sample_cap is not None and sample_cap < 1:
+        raise InvalidParams(f"sample_cap must be >= 1, got {sample_cap}")
     a = thm3_set(n)
     pos = RealSet(tuple(x for x in difference_set(a).elements if x > 0))
     cap = None if n <= 5 else (20000 if sample_cap is None else sample_cap)

@@ -21,13 +21,34 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: Optional[str]) -> None:
+    _write(json.dumps(payload, indent=2) + "\n", out)
+
+
+# One element of a RealSet as json.dumps(..., indent=2) lays it out.
+_SET_ITEM = '    {\n      "num": "%d",\n      "den": "%d"\n    }'
+
+
+def _emit_set(s: RealSet, out: Optional[str]) -> None:
+    """Write s exactly as _emit(s.to_json(), out) would.
+
+    json.dumps uses its C encoder only without indent, and the pure-Python
+    one is most of the cost of a large set. The elements hold only digits
+    and "-", so nothing needs escaping.
+    """
+    if len(s) == 0:
+        _write('{\n  "elements": []\n}\n', out)
+        return
+    items = ",\n".join(_SET_ITEM % (x.numerator, x.denominator) for x in s)
+    _write('{\n  "elements": [\n' + items + "\n  ]\n}\n", out)
 
 
 def _read_realset(path: str) -> RealSet:
@@ -36,6 +57,8 @@ def _read_realset(path: str) -> RealSet:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
     return RealSet.from_json(payload)
 
 
@@ -93,14 +116,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         s = constructions.squares_set(args.n)
     else:
         s = gen_convex_random(args.n, args.seed)
-    _emit(s.to_json(), args.out)
+    _emit_set(s, args.out)
     _log(f"construct {args.kind}: wrote {len(s)} elements to {args.out}")
     return 0
 
 
 def _cmd_glue(args: argparse.Namespace) -> int:
     s, trace = constructions.glue_chain(args.n, strict=args.strict)
-    _emit(s.to_json(), args.out)
+    _emit_set(s, args.out)
     if args.trace:
         _emit(trace.to_json(), args.trace)
     _log(

@@ -204,6 +204,18 @@ def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
     return RealSet(merged), ij
 
 
+def _glue_scaled(n: int, strict: bool) -> tuple[list[int], GlueTrace]:
+    """glue_chain on the ints scaled by n^5: the glued values and the trace."""
+    params = Thm1Params.for_n(n, strict)
+    running = _scaled_block_values(n, params.k_min, params.i_max)
+    records = []
+    for k in range(params.k_min + 1, params.k_max + 1):
+        block = _scaled_block_values(n, k, params.i_max)
+        running, (i, j) = _splice(running, block)
+        records.append(SpliceRecord(k=k, j=j, i=i))
+    return running, GlueTrace(tuple(records))
+
+
 def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     """Glue the blocks D_{k_min}, ..., D_{k_max} into one convex set.
 
@@ -213,15 +225,9 @@ def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     NoSplice from any step propagates; for valid n that would contradict the
     interleaving claim and is treated as a verification failure by callers.
     """
-    params = Thm1Params.for_n(n, strict)
-    running = _scaled_block_values(n, params.k_min, params.i_max)
-    records = []
-    for k in range(params.k_min + 1, params.k_max + 1):
-        block = _scaled_block_values(n, k, params.i_max)
-        running, (i, j) = _splice(running, block)
-        records.append(SpliceRecord(k=k, j=j, i=i))
+    running, trace = _glue_scaled(n, strict)
     n5 = n**5
-    return RealSet(tuple(Fraction(v, n5) for v in running)), GlueTrace(tuple(records))
+    return RealSet(tuple(Fraction(v, n5) for v in running)), trace
 
 
 def thm2_matching(a: RealSet) -> Matching:

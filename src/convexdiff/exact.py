@@ -120,10 +120,16 @@ class Matching:
     def __post_init__(self) -> None:
         if type(self.base_size) is not int or self.base_size < 0:
             raise InvalidMatching(f"base_size must be a nonnegative int: {self.base_size!r}")
-        norm = tuple(tuple(p) for p in self.pairs)
-        for p in norm:
-            if len(p) != 2 or any(type(x) is not int for x in p):
+        if not isinstance(self.pairs, (tuple, list)):
+            raise InvalidMatching(f"pairs must be a tuple of pairs, got {self.pairs!r}")
+        for p in self.pairs:
+            if (
+                not isinstance(p, (tuple, list))
+                or len(p) != 2
+                or any(type(x) is not int for x in p)
+            ):
                 raise InvalidMatching(f"each pair must be two int indices, got {p!r}")
+        norm = tuple(tuple(p) for p in self.pairs)
         object.__setattr__(self, "pairs", norm)
         seen: set[int] = set()
         for lo, hi in norm:

@@ -7,6 +7,7 @@ import pytest
 
 import convexdiff as cd
 from convexdiff import InvalidInput, InvalidParams, RealSet, Report
+from convexdiff import claims
 from convexdiff.claims import _membership_failures
 
 
@@ -101,6 +102,52 @@ def test_thm1_size_frozen():
     assert r2.counts["members_verified"] == 1756
 
 
+def _glue_with(monkeypatch, edit):
+    """Make verify_thm1_size see the glued ints of n = 1000 changed by `edit`."""
+    ints, trace = claims._glue_scaled(1000, False)
+    edited = edit(list(ints))
+    monkeypatch.setattr(claims, "_glue_scaled", lambda n, strict: (edited, trace))
+    return edited
+
+
+def test_thm1_size_reports_non_member(monkeypatch):
+    def bump_last(ints):
+        ints[-1] += 1  # only the last gap grows: still increasing and convex
+        return ints
+
+    ints = _glue_with(monkeypatch, bump_last)
+    r = cd.verify_thm1_size(1000)
+    assert not r.passed
+    assert r.counterexample == {
+        "reason": "element outside the difference set",
+        "elements": [str(F(ints[-1], 1000**5))],
+    }
+    assert r.counts["size"] == 1756
+    assert r.counts["members_verified"] == 1755
+
+
+def _swap_adjacent(ints):
+    ints[100], ints[101] = ints[101], ints[100]
+    return ints
+
+
+# Reversed, the gaps are negative but still increase: only the check that the
+# first gap is positive catches it.
+@pytest.mark.parametrize("edit", [_swap_adjacent, lambda ints: ints[::-1]])
+def test_thm1_size_reports_non_convex(monkeypatch, edit):
+    _glue_with(monkeypatch, edit)
+    r = cd.verify_thm1_size(1000)
+    assert r.counterexample == {"reason": "glued set is not convex"}
+    assert r.counts["members_verified"] == 0
+
+
+def test_thm1_size_reports_size_below_bound(monkeypatch):
+    _glue_with(monkeypatch, lambda ints: ints[:249])
+    r = cd.verify_thm1_size(1000)
+    assert r.counterexample == {"reason": "size below bound", "size": 249, "required": 250}
+    assert r.counts["members_verified"] == 249
+
+
 def test_membership_check_catches_alien_elements():
     n = 300
     s, _ = cd.glue_chain(n)
@@ -158,6 +205,10 @@ def test_claims3_param_gate():
         cd.verify_claims_3(1)
     with pytest.raises(InvalidParams):
         cd.verify_claims_3(9)
+    # A cap below 1 would check nothing and still pass.
+    for n, cap in ((6, 0), (6, -5), (4, 0)):
+        with pytest.raises(InvalidParams):
+            cd.verify_claims_3(n, sample_cap=cap)
 
 
 def test_claims3_size_bound_holds_by_hand():

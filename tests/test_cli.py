@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
 import convexdiff as cd
 from convexdiff import Matching, RealSet, Report
-from convexdiff.cli import main
+from convexdiff.cli import _emit_set, main
 
 
 def _write_set(path, values):
@@ -206,3 +207,48 @@ def test_non_ascii_digits_exit_2(tmp_path, capsys):
     bad.write_text('{"elements": [{"num": "\u00b2", "den": "1"}]}', encoding="utf-8")
     assert main(["oracle", "lcs", "--in", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe" + '{"elements": []}'.encode("utf-16-le"))
+    assert main(["oracle", "lcs", "--in", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_claims3_bad_sample_cap_exits_2(cap, capsys):
+    assert main(["verify", "claims3", "--n", "6", "--sample-cap", cap]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "sample_cap" in err
+
+
+def _reference_set_text(s):
+    return json.dumps(s.to_json(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(), (7,), (-3, F(-1, 2), 0, F(5, 3), 10**30 + 1), (F(-10**25, 7), F(1, 10**20))],
+)
+def test_emit_set_matches_reference_encoder(values, tmp_path):
+    s = RealSet.from_values(values)
+    out = tmp_path / "s.json"
+    _emit_set(s, str(out))
+    assert out.read_text(encoding="utf-8") == _reference_set_text(s)
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["construct", "thm1", "--n", "300"], lambda: cd.thm1_set(300)),
+        (["construct", "squares", "--n", "50"], lambda: cd.squares_set(50)),
+        (["construct", "random", "--n", "40", "--seed", "3"], lambda: cd.gen_convex_random(40, 3)),
+        (["glue", "--n", "1000"], lambda: cd.glue_chain(1000)[0]),
+    ],
+)
+def test_written_sets_match_reference_encoder(argv, build, tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text(encoding="utf-8") == _reference_set_text(build())

@@ -109,6 +109,8 @@ def test_matching_validation():
         (4, (("1", "3"),)),
         (4, ((True, 3),)),
         (4, ((1, 2, 3),)),
+        (4, (1, 2)),
+        (4, 5),
         (True, ()),
         (4.0, ()),
     ):
