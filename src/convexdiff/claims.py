@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -33,7 +32,6 @@ from .exact import (
     RealSet,
     difference_set,
     gaps_increase,
-    is_weakly_convex,
     restricted_difference_set,
 )
 from .oracles import (
@@ -135,21 +133,6 @@ def verify_claim_2_2(n: int) -> Report:
     )
 
 
-def _scale(s: RealSet, n5: int) -> tuple[list[int], list[str]]:
-    """Elements of s times n^5 as exact ints, and (as strings) the elements
-    whose denominator does not divide n^5, which no difference of the cubic
-    family can have."""
-    ints: list[int] = []
-    alien: list[str] = []
-    for x in s:
-        q, r = divmod(n5, x.denominator)
-        if r:
-            alien.append(str(x))
-        else:
-            ints.append(x.numerator * q)
-    return ints, alien
-
-
 def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
     """Scaled values that are not differences a_{i+k} - a_i, up to `limit` many.
 
@@ -195,14 +178,6 @@ def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
     return bad
 
 
-def _membership_failures(n: int, s: RealSet, limit: int) -> list[str]:
-    """Elements of s that are not differences a_{i+k} - a_i, up to `limit` many."""
-    n5 = n**5
-    ints, alien = _scale(s, n5)
-    bad = alien + [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit)]
-    return bad[:limit]
-
-
 def verify_thm1_size(n: int) -> Report:
     """Run the glue chain and re-verify convexity, membership, and the size bound.
 
@@ -230,13 +205,12 @@ def verify_thm1_size(n: int) -> Report:
     if not (increasing and gaps_increase(ints)):
         counterexample = {"reason": "glued set is not convex"}
     else:
-        n5 = n**5
-        bad = [str(Fraction(v, n5)) for v in _non_differences(n, ints, limit=3)]
+        bad = _non_differences(n, ints, limit=3)
         counts["members_verified"] = len(ints) - len(bad)
         if bad:
             counterexample = {
                 "reason": "element outside the difference set",
-                "elements": bad,
+                "elements": _element_strs(RealSet(bad, den=n**5)),
             }
         elif len(ints) < required:
             counterexample = {
@@ -282,8 +256,7 @@ def _subset_violation(n: int, s: RealSet) -> Optional[dict]:
             "lower_occupied": min(per_block),
             "set": _element_strs(s),
         }
-    indices = RealSet(tuple(Fraction(k) for k in sorted(per_block)))
-    if not is_weakly_convex(indices):
+    if not gaps_increase(sorted(per_block), strict=False):
         return {
             "claim": "3.2",
             "block_indices": sorted(per_block),
@@ -316,16 +289,18 @@ def _ap_violation(n: int, s: RealSet, matching_json: dict) -> Optional[dict]:
 def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
     """Structural claims of the digit-set construction.
 
-    Convex subsets of the positive differences are enumerated (exhaustively
-    for n <= 5, capped beyond) and checked; matchings with convex restricted
-    difference sets are enumerated for the consecutive-AP claim.
+    Convex subsets of the positive differences are enumerated and checked,
+    for n >= 6 at most sample_cap of them (20000 by default); "exhaustive"
+    says whether the cap left the enumeration complete. Matchings with convex
+    restricted difference sets are enumerated for the consecutive-AP claim.
     """
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise InvalidParams(f"claims-3 harness supports 2 <= n <= 8, got {n!r}")
     if sample_cap is not None and sample_cap < 1:
         raise InvalidParams(f"sample_cap must be >= 1, got {sample_cap}")
     a = thm3_set(n)
-    pos = RealSet(tuple(x for x in difference_set(a).elements if x > 0))
+    d = difference_set(a)
+    pos = RealSet(d.ints[bisect_right(d.ints, 0) :], den=d.den)
     cap = None if n <= 5 else (20000 if sample_cap is None else sample_cap)
     stream = enumerate_convex_subsets(pos, count_cap=cap)
     counts = {"subsets_checked": 0, "matchings_checked": 0}
@@ -349,7 +324,7 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
                 break
     return Report(
         claim_id="claims3",
-        params={"n": n, "exhaustive": cap is None, "sample_cap": cap},
+        params={"n": n, "exhaustive": not stream.truncated, "sample_cap": cap},
         passed=counterexample is None,
         counterexample=counterexample,
         counts=counts,

@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import claims, constructions, oracles
-from .errors import ConvexDiffError, InvalidInput, InvalidParams
+from .errors import ConvexDiffError, InvalidInput, InvalidParams, TooLarge
 from .exact import RealSet, gen_convex_random
 
 
@@ -42,12 +42,15 @@ def _emit_set(s: RealSet, out: Optional[str]) -> None:
 
     json.dumps uses its C encoder only without indent, and the pure-Python
     one is most of the cost of a large set. The elements hold only digits
-    and "-", so nothing needs escaping.
+    and "-", so nothing needs escaping. No file is opened before the text is built.
     """
     if len(s) == 0:
         _write('{\n  "elements": []\n}\n', out)
         return
-    items = ",\n".join(_SET_ITEM % (x.numerator, x.denominator) for x in s)
+    try:
+        items = ",\n".join(_SET_ITEM % pair for pair in s.reduced())
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise TooLarge(f"set element too long to write in decimal: {exc}") from exc
     _write('{\n  "elements": [\n' + items + "\n  ]\n}\n", out)
 
 
@@ -59,6 +62,8 @@ def _read_realset(path: str) -> RealSet:
             raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # a number literal beyond sys.get_int_max_str_digits()
+            raise InvalidInput(f"{path} holds a number too long to read: {exc}") from exc
     return RealSet.from_json(payload)
 
 

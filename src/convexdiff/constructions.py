@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .errors import InsufficientN, InvalidInput, InvalidParams, NoSplice
@@ -106,8 +107,7 @@ def _scaled_block_values(n: int, k: int, i_max: int) -> list[int]:
 def thm1_set(n: int, strict: bool = False) -> RealSet:
     """The convex set {a_i = i + c1*i^2 + c2*i^3 : 1 <= i <= n}."""
     params = Thm1Params.for_n(n, strict)
-    n5 = n**5
-    return RealSet(tuple(Fraction(v, n5) for v in _scaled_set_values(params.n)))
+    return RealSet(_scaled_set_values(params.n), den=n**5)
 
 
 def thm1_block(n: int, k: int, strict: bool = False) -> DifferenceBlock:
@@ -117,11 +117,8 @@ def thm1_block(n: int, k: int, strict: bool = False) -> DifferenceBlock:
         raise InvalidParams(
             f"offset k={k} outside [{params.k_min}, {params.k_max}] for n={n}"
         )
-    n5 = n**5
-    values = RealSet(
-        tuple(Fraction(v, n5) for v in _scaled_block_values(n, k, params.i_max))
-    )
-    return DifferenceBlock(k=k, values=values, first_index=1, count=params.i_max)
+    values = RealSet(_scaled_block_values(n, k, params.i_max), den=n**5)
+    return DifferenceBlock(k=k, values=values)
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,8 @@ class GlueTrace:
 def _best_splice(ea: Sequence, eb: Sequence) -> Optional[tuple[int, int]]:
     """The splice (i, j) glue_pair picks for sorted ea, eb, or None if none exists.
 
-    Only comparisons are made, so ea and eb may hold Fractions or the scaled
-    ints of the cubic family alike.
+    Only comparisons are made, so ea and eb may be any two sorted sequences
+    of ints over one denominator.
     """
     n, m = len(ea), len(eb)
     if n < 2 or m < 2:
@@ -200,8 +197,9 @@ def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
     output-size-maximizing one is chosen, ties broken by smallest i, which
     makes the result a deterministic function of (A, B).
     """
-    merged, ij = _splice(a.elements, b.elements)
-    return RealSet(merged), ij
+    den = math.lcm(a.den, b.den)
+    merged, ij = _splice(a.over(den), b.over(den))
+    return RealSet(merged, den=den), ij
 
 
 def _glue_scaled(n: int, strict: bool) -> tuple[list[int], GlueTrace]:
@@ -226,8 +224,7 @@ def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     interleaving claim and is treated as a verification failure by callers.
     """
     running, trace = _glue_scaled(n, strict)
-    n5 = n**5
-    return RealSet(tuple(Fraction(v, n5) for v in running)), trace
+    return RealSet(running, den=n**5), trace
 
 
 def thm2_matching(a: RealSet) -> Matching:
@@ -256,12 +253,9 @@ def thm3_set(n: int) -> RealSet:
     """The base-(2n) digit set a_j = j(2n)^n + (j-1)(2n)^{n-1} + ... + (2n)^{n-j+1}."""
     if not isinstance(n, int) or n < 2:
         raise InvalidParams(f"n must be an int >= 2, got {n!r}")
-    base = 2 * n
-    powers = [base**e for e in range(n + 1)]
-    vals = []
-    for j in range(1, n + 1):
-        vals.append(Fraction(sum((j - r) * powers[n - r] for r in range(j))))
-    return RealSet(tuple(vals))
+    # a_1 = (2n)^n and a_{j+1} - a_j = (2n)^n + ... + (2n)^{n-j}: partial sums of partial sums.
+    steps = accumulate((2 * n) ** e for e in range(n, 0, -1))
+    return RealSet(list(accumulate(steps)), den=1)
 
 
 def thm3_block_of(n: int, x: ExactScalar) -> tuple[int, int] | None:
@@ -324,4 +318,4 @@ def squares_set(n: int) -> RealSet:
     """The first n squares {i^2 : 1 <= i <= n}; convex since gaps are 2i+1."""
     if not isinstance(n, int) or n < 1:
         raise InvalidParams(f"n must be an int >= 1, got {n!r}")
-    return RealSet(tuple(Fraction(i * i) for i in range(1, n + 1)))
+    return RealSet([i * i for i in range(1, n + 1)], den=1)

@@ -1,7 +1,8 @@
 """Exact scalars, finite real sets, matchings, and elementary set operators.
 
-All arithmetic is exact: scalars are rationals, set elements are kept sorted,
-and every comparison is performed without rounding. Matching indices are
+All arithmetic is exact. A set stores its elements as strictly increasing
+ints over one common denominator, so every comparison, gap and difference
+is an int operation; single scalars are Fractions. Matching indices are
 1-based, matching the usual way indexed families a_1 < ... < a_n are written.
 """
 
@@ -13,10 +14,11 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, pairwise, starmap
-from typing import Iterable, Iterator, Literal, Sequence, Union
+from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
-from .errors import InvalidInput, InvalidMatching
+from .errors import InvalidInput, InvalidMatching, TooLarge
 
 ExactScalar = Fraction
 
@@ -38,13 +40,20 @@ def as_exact(value: ScalarLike) -> Fraction:
     raise InvalidInput(f"unsupported scalar type: {type(value).__name__}")
 
 
+def _scalar_json(num: int, den: int) -> dict[str, str]:
+    try:
+        return {"num": str(num), "den": str(den)}
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise TooLarge(f"scalar too long to write in decimal: {exc}") from exc
+
+
 def scalar_to_json(value: Fraction) -> dict[str, str]:
     """Serialize to {"num": ..., "den": ...} decimal strings, den "1" for integers."""
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    return _scalar_json(value.numerator, value.denominator)
 
 
-def scalar_from_json(obj: object) -> Fraction:
-    """Parse a scalar payload, requiring canonical lowest terms and den >= 1."""
+def _scalar_pair(obj: object) -> tuple[int, int]:
+    """The (num, den) of a scalar payload, in canonical lowest terms with den >= 1."""
     if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
         raise InvalidInput(f"scalar payload must have exactly num/den keys: {obj!r}")
     num_s, den_s = obj["num"], obj["den"]
@@ -54,37 +63,71 @@ def scalar_from_json(obj: object) -> Fraction:
     # isdigit() alone admits non-ASCII digits such as "²" or "١".
     if not (stripped.isascii() and stripped.isdigit() and den_s.isascii() and den_s.isdigit()):
         raise InvalidInput(f"malformed scalar strings: num={num_s!r} den={den_s!r}")
-    num, den = int(num_s), int(den_s)
+    try:
+        num, den = int(num_s), int(den_s)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise InvalidInput(f"scalar too long to read: {exc}") from exc
     if den < 1:
         raise InvalidInput(f"scalar denominator must be >= 1, got {den}")
     if math.gcd(num, den) != 1:
         raise InvalidInput(f"scalar {num}/{den} is not in lowest terms")
-    return Fraction(num, den)
+    return num, den
 
 
-@dataclass(frozen=True)
+def scalar_from_json(obj: object) -> Fraction:
+    """Parse a scalar payload, requiring canonical lowest terms and den >= 1."""
+    return Fraction(*_scalar_pair(obj))
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """Values num/den as ints over the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+@dataclass(frozen=True, init=False)
 class RealSet:
-    """A finite set of rationals stored as a strictly increasing tuple."""
+    """A finite set of rationals: element t is ints[t] / den.
 
-    elements: tuple[Fraction, ...]
+    `ints` strictly increase and den >= 1, kept canonical with
+    gcd(den, *ints) == 1, so equal sets have equal fields and hashes.
+    `elements`, the same values as Fractions, is derived on first use.
+    """
 
-    def __post_init__(self) -> None:
-        coerced = tuple(as_exact(x) for x in self.elements)
-        object.__setattr__(self, "elements", coerced)
-        for t in range(1, len(coerced)):
-            if coerced[t] <= coerced[t - 1]:
-                raise InvalidInput(
-                    f"elements must strictly increase: "
-                    f"{coerced[t - 1]} followed by {coerced[t]}"
-                )
+    ints: tuple[int, ...]
+    den: int
+
+    def __init__(self, elements: Iterable[ScalarLike] = (), *, den: Optional[int] = None) -> None:
+        """RealSet(values) coerces each value with as_exact; RealSet(ints, den=d)
+        takes ints over d as they are. Either way they must strictly increase."""
+        if den is None:
+            elements, den = _over_lcm([as_exact(x).as_integer_ratio() for x in elements])
+        ints = tuple(elements)
+        if type(den) is not int or den < 1 or not set(map(type, ints)) <= {int}:
+            raise InvalidInput(f"RealSet(ints, den=d) needs ints and an int d >= 1, got d={den!r}")
+        if not all(map(operator.lt, ints, islice(ints, 1, None))):
+            t = next(t for t in range(1, len(ints)) if ints[t] <= ints[t - 1])
+            a, b = Fraction(ints[t - 1], den), Fraction(ints[t], den)
+            raise InvalidInput(f"elements must strictly increase: {a} followed by {b}")
+        g = math.gcd(den, *ints)
+        if g > 1:
+            ints, den = tuple(x // g for x in ints), den // g
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_values(cls, values: Iterable[ScalarLike]) -> "RealSet":
         """Build from arbitrary values with set semantics (sort, drop duplicates)."""
-        return cls(tuple(sorted({as_exact(v) for v in values})))
+        ints, den = _over_lcm([as_exact(v).as_integer_ratio() for v in values])
+        return cls(sorted(set(ints)), den=den)
+
+    @cached_property
+    def elements(self) -> tuple[Fraction, ...]:
+        """The elements as Fractions, built on first use."""
+        return tuple(Fraction(x, self.den) for x in self.ints)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.ints)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.elements)
@@ -94,11 +137,26 @@ class RealSet:
 
     def __contains__(self, value: object) -> bool:
         probe = as_exact(value)  # type: ignore[arg-type]
-        pos = bisect_left(self.elements, probe)
-        return pos < len(self.elements) and self.elements[pos] == probe
+        v, r = divmod(probe.numerator * self.den, probe.denominator)
+        pos = bisect_left(self.ints, v)
+        return not r and pos < len(self.ints) and self.ints[pos] == v
+
+    def over(self, den: int) -> tuple[int, ...]:
+        """The elements as ints over den, a multiple of self.den."""
+        q, r = divmod(den, self.den)
+        if r:
+            raise InvalidInput(f"{den} is not a multiple of the denominator {self.den}")
+        return self.ints if q == 1 else tuple(x * q for x in self.ints)
+
+    def reduced(self) -> Iterator[tuple[int, int]]:
+        """Each element as (num, den) in lowest terms, one gcd each, no Fractions."""
+        den = self.den
+        for x in self.ints:
+            g = math.gcd(x, den)
+            yield x // g, den // g
 
     def to_json(self) -> dict:
-        return {"elements": [scalar_to_json(x) for x in self.elements]}
+        return {"elements": [_scalar_json(p, q) for p, q in self.reduced()]}
 
     @classmethod
     def from_json(cls, obj: object) -> "RealSet":
@@ -107,7 +165,8 @@ class RealSet:
         items = obj["elements"]
         if not isinstance(items, list):
             raise InvalidInput("elements must be a list")
-        return cls(tuple(scalar_from_json(it) for it in items))
+        ints, den = _over_lcm([_scalar_pair(it) for it in items])
+        return cls(ints, den=den)
 
 
 @dataclass(frozen=True)
@@ -163,26 +222,18 @@ class Matching:
 
 @dataclass(frozen=True)
 class DifferenceBlock:
-    """Differences at a fixed index offset k: values a_{i+k} - a_i for i = first_index.."""
+    """Differences at a fixed index offset k: values a_{i+k} - a_i for i = 1, 2, ..."""
 
     k: int
     values: RealSet
-    first_index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count != len(self.values):
-            raise InvalidInput(
-                f"block count {self.count} != number of values {len(self.values)}"
-            )
 
 
 def gaps_increase(values: Sequence, strict: bool = True) -> bool:
     """True when the consecutive gaps of a sorted sequence increase.
 
     Strictly when `strict`, else never decreasing; sequences of length <= 2
-    qualify. Works on any exactly subtractable values: Fractions, or the
-    scaled ints of the cubic family.
+    qualify. Works on any exactly subtractable values: the ints of a
+    RealSet, or Fractions.
     """
     gaps = map(operator.sub, islice(values, 1, None), values)
     return all(starmap(operator.lt if strict else operator.le, pairwise(gaps)))
@@ -190,28 +241,17 @@ def gaps_increase(values: Sequence, strict: bool = True) -> bool:
 
 def is_convex(s: RealSet) -> bool:
     """True when consecutive gaps strictly increase; sets of size <= 2 qualify."""
-    return gaps_increase(s.elements)
+    return gaps_increase(s.ints)
 
 
 def is_weakly_convex(s: RealSet) -> bool:
     """True when consecutive gaps never decrease."""
-    return gaps_increase(s.elements, strict=False)
-
-
-def scaled_ints(elements: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The elements as ints over their least common denominator, and that denominator.
-
-    Multiplying by a positive constant keeps order, ties and convexity.
-    """
-    den = math.lcm(*(x.denominator for x in elements))
-    return [x.numerator * (den // x.denominator) for x in elements], den
+    return gaps_increase(s.ints, strict=False)
 
 
 def _pairwise(a: RealSet, op) -> RealSet:
-    # Computed and sorted as ints over a common denominator, not as Fractions.
-    vals, den = scaled_ints(a.elements)
-    out = sorted({op(x, y) for x in vals for y in vals})
-    return RealSet(tuple(Fraction(v, den) for v in out))
+    e = a.ints
+    return RealSet(sorted({op(x, y) for x in e for y in e}), den=a.den)
 
 
 def difference_set(a: RealSet) -> RealSet:
@@ -228,24 +268,24 @@ def sum_set(a: RealSet) -> RealSet:
     return _pairwise(a, operator.add)
 
 
-def restricted_difference_set(a: RealSet, m: Matching) -> RealSet:
-    """Differences a_hi - a_lo over the matching's pairs (larger minus smaller)."""
+def _check_base(a: RealSet, m: Matching) -> tuple[int, ...]:
     if m.base_size != len(a):
         raise InvalidMatching(
             f"matching base size {m.base_size} != set size {len(a)}"
         )
-    e = a.elements
-    return RealSet(tuple(sorted({e[hi - 1] - e[lo - 1] for lo, hi in m.pairs})))
+    return a.ints
+
+
+def restricted_difference_set(a: RealSet, m: Matching) -> RealSet:
+    """Differences a_hi - a_lo over the matching's pairs (larger minus smaller)."""
+    e = _check_base(a, m)
+    return RealSet(sorted({e[hi - 1] - e[lo - 1] for lo, hi in m.pairs}), den=a.den)
 
 
 def restricted_sum_set(a: RealSet, m: Matching) -> RealSet:
     """Sums a_lo + a_hi over the matching's pairs."""
-    if m.base_size != len(a):
-        raise InvalidMatching(
-            f"matching base size {m.base_size} != set size {len(a)}"
-        )
-    e = a.elements
-    return RealSet(tuple(sorted({e[lo - 1] + e[hi - 1] for lo, hi in m.pairs})))
+    e = _check_base(a, m)
+    return RealSet(sorted({e[lo - 1] + e[hi - 1] for lo, hi in m.pairs}), den=a.den)
 
 
 def count_representations(
@@ -255,9 +295,9 @@ def count_representations(
     if op not in ("difference", "sum"):
         raise InvalidInput(f"op must be 'difference' or 'sum', got {op!r}")
     target = as_exact(x)
-    if op == "difference":
-        return sum(1 for q in a.elements if (q + target) in a)
-    return sum(1 for q in a.elements if (target - q) in a)
+    v, r = divmod(target.numerator * a.den, target.denominator)
+    present, sign = set(a.ints), 1 if op == "difference" else -1
+    return 0 if r else sum(v + sign * q in present for q in a.ints)
 
 
 def gen_convex_random(n: int, seed: int) -> RealSet:
@@ -275,4 +315,4 @@ def gen_convex_random(n: int, seed: int) -> RealSet:
     for _ in range(n - 1):
         vals.append(vals[-1] + gap)
         gap += rng.randrange(1, 10)
-    return RealSet(tuple(Fraction(v) for v in vals))
+    return RealSet(vals, den=1)

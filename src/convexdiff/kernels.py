@@ -11,8 +11,7 @@ lies in a later column, so row t is complete when column t starts, and one
 suffix-maximum vector s of row t, with s[m] = 1, gives the whole column as
 1 + s[lo]. The entries are at most m <= MAX_TABLE, so the table is int16.
 
-The two tiers differ only in how they find lo, and are selected by the
-CONVEXDIFF_KERNEL environment variable ("auto", "numpy", "python"):
+The two tiers differ only in how they find lo:
 
   * numpy  - one searchsorted call per column over int64 values; the table
              is returned as the int16 ndarray
@@ -21,22 +20,21 @@ CONVEXDIFF_KERNEL environment variable ("auto", "numpy", "python"):
              two-pointer scan finds it; the table is returned as a list of
              lists
 
-Inputs whose values exceed the int64 safety bound always take the python
-tier regardless of the flag, since the numpy tier would overflow; exactness
-wins over the selector.
+The numpy tier is the default. Inputs whose values exceed the int64 safety
+bound always take the python tier, even when numpy is forced, since the
+numpy tier would overflow; exactness wins over the selector.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidInput, TooLarge
 
-KERNEL_ENV = "CONVEXDIFF_KERNEL"
-KERNEL_CHOICES = ("auto", "numpy", "python")
+KERNEL_CHOICES = ("numpy", "python")
 
 # One dense (m x m) int16 table; 4096 keeps it near 34 MB (the python tier's
 # list of lists adds an 8-byte pointer per entry, near 134 MB).
@@ -46,7 +44,7 @@ MAX_TABLE = 4096
 INT64_SAFE = (2**63 - 1) // 4
 
 
-def _scan_column(values: list[int], t: int) -> list[int]:
+def _scan_column(values: Sequence[int], t: int) -> list[int]:
     """lo for a = t-1 down to 0, by a two-pointer scan over Python ints."""
     m = len(values)
     twice = 2 * values[t]
@@ -61,7 +59,7 @@ def _scan_column(values: list[int], t: int) -> list[int]:
     return out + [m] * start
 
 
-def _table(values: list[int], tier: str) -> np.ndarray:
+def _table(values: Sequence[int], tier: str) -> np.ndarray:
     m = len(values)
     b = np.asarray(values, dtype=np.int64) if tier == "numpy" else None
     g = np.zeros((m, m), dtype=np.int16)
@@ -77,35 +75,27 @@ def _table(values: list[int], tier: str) -> np.ndarray:
     return g
 
 
-def resolve_kernel(int64_safe: bool, force: str | None = None) -> str:
-    """Resolve the tier from an explicit override or the environment flag."""
-    choice = (force or os.environ.get(KERNEL_ENV, "") or "auto").strip().lower()
-    if choice not in KERNEL_CHOICES:
-        raise InvalidInput(
-            f"unknown kernel {choice!r}; expected one of {', '.join(KERNEL_CHOICES)}"
-        )
-    if not int64_safe:
-        return "python"
-    return "numpy" if choice == "auto" else choice
+def compute_table(values: Sequence[int], force: str | None = None):
+    """Build the suffix DP table for strictly increasing ints.
 
-
-def compute_table(values: list[int], force: str | None = None):
-    """Build the suffix DP table for a strictly increasing list of ints.
-
-    Returns (table, tier). The table is an int16 ndarray for the numpy tier
-    and a list of lists for the python tier; both index as table[a][t].
+    `force` picks a tier ("numpy", the default, or "python"); values beyond
+    INT64_SAFE take the python tier regardless. Returns (table, tier). The
+    table is an int16 ndarray for the numpy tier and a list of lists for the
+    python tier; both index as table[a][t].
     """
+    if force is not None and force not in KERNEL_CHOICES:
+        raise InvalidInput(f"unknown kernel {force!r}; expected {' or '.join(KERNEL_CHOICES)}")
     m = len(values)
     if m < 2:
         raise InvalidInput("table needs at least 2 elements")
     if m > MAX_TABLE:
         raise TooLarge(f"{m} elements exceeds the table cap {MAX_TABLE}")
     safe = max(abs(values[0]), abs(values[-1])) <= INT64_SAFE
-    tier = resolve_kernel(safe, force)
+    tier = (force or "numpy") if safe else "python"
     table = _table(values, tier)
     return (table if tier == "numpy" else table.tolist()), tier
 
 
 def available_tiers() -> tuple[str, ...]:
     """Tiers that can run in this installation: both, always."""
-    return ("numpy", "python")
+    return KERNEL_CHOICES

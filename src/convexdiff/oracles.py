@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Union
 
 from . import kernels
 from .errors import InvalidInput, TooLarge
-from .exact import Matching, RealSet, is_convex, restricted_difference_set, scaled_ints
+from .exact import Matching, RealSet, gaps_increase, is_convex, restricted_difference_set
 
 
 @dataclass(frozen=True)
@@ -34,13 +33,6 @@ class OracleResult:
         }
 
 
-def _ints_convex(vals: list[int]) -> bool:
-    for t in range(1, len(vals) - 1):
-        if vals[t + 1] - vals[t] <= vals[t] - vals[t - 1]:
-            return False
-    return True
-
-
 def lcs_convex(b: RealSet) -> OracleResult:
     """Size of the largest convex subset of B, by the suffix DP over last-two states."""
     m = len(b)
@@ -48,7 +40,7 @@ def lcs_convex(b: RealSet) -> OracleResult:
         raise InvalidInput("lcs_convex needs a nonempty set")
     if m <= 2:
         return OracleResult(m, b, True)
-    scaled, _den = scaled_ints(b.elements)
+    scaled = b.ints
     g, _tier = kernels.compute_table(scaled)
     # One pass for the row maxima (entries g[a][t<=a] are 0); the witness
     # starts at the first row reaching the maximum, at its first such column.
@@ -70,7 +62,7 @@ def lcs_convex(b: RealSet) -> OracleResult:
                 break
         else:
             raise AssertionError("table inconsistent: no continuation found")
-    witness = RealSet(tuple(b.elements[t] for t in seq))
+    witness = RealSet([scaled[t] for t in seq], den=b.den)
     assert len(witness) == total and is_convex(witness)
     return OracleResult(total, witness, True)
 
@@ -82,18 +74,18 @@ def lcs_convex_bruteforce(b: RealSet, limit: int = 20) -> OracleResult:
         raise InvalidInput("lcs_convex_bruteforce needs a nonempty set")
     if m > limit:
         raise TooLarge(f"{m} elements exceeds the brute-force guard {limit}")
-    vals, _den = scaled_ints(b.elements)
+    vals = b.ints
     for size in range(m, 0, -1):
         for combo in itertools.combinations(range(m), size):
-            if _ints_convex([vals[t] for t in combo]):
-                witness = RealSet(tuple(b.elements[t] for t in combo))
-                return OracleResult(size, witness, True)
+            chosen = [vals[t] for t in combo]
+            if gaps_increase(chosen):
+                return OracleResult(size, RealSet(chosen, den=b.den), True)
     raise AssertionError("unreachable: every singleton is convex")
 
 
-def _sorted_pairs(a: RealSet) -> tuple[list[tuple[int, int]], list[Fraction]]:
-    """All index pairs sorted by (difference value, lo, hi), plus their differences."""
-    e = a.elements
+def _sorted_pairs(a: RealSet) -> tuple[list[tuple[int, int]], list[int]]:
+    """All index pairs sorted by (difference, lo, hi), plus their differences over a.den."""
+    e = a.ints
     n = len(e)
     pairs = sorted(
         ((lo, hi) for lo in range(1, n + 1) for hi in range(lo + 1, n + 1)),
@@ -119,7 +111,7 @@ def max_convex_matching(a: RealSet, limit: int = 12) -> OracleResult:
     pairs, diffs = _sorted_pairs(a)
     used = [False] * (n + 1)
     chosen: list[tuple[int, int]] = []
-    distinct: list[Fraction] = []
+    distinct: list[int] = []
     best_size = -1
     best_canon: tuple[tuple[int, int], ...] = ()
 
@@ -178,7 +170,7 @@ def iter_convex_matchings(a: RealSet) -> Iterator[Matching]:
     pairs, diffs = _sorted_pairs(a)
     used = [False] * (n + 1)
     chosen: list[tuple[int, int]] = []
-    distinct: list[Fraction] = []
+    distinct: list[int] = []
 
     def dfs(pos: int) -> Iterator[Matching]:
         yield Matching(base_size=n, pairs=tuple(chosen))
@@ -217,7 +209,7 @@ def max_weakly_convex_no4ap(n: int) -> OracleResult:
     if not isinstance(n, int) or n < 1:
         raise InvalidInput(f"n must be an int >= 1, got {n!r}")
     if n == 1:
-        return OracleResult(1, RealSet((Fraction(1),)), True)
+        return OracleResult(1, RealSet([1], den=1), True)
 
     memo: dict[tuple[int, int, int], int] = {}
 
@@ -261,7 +253,7 @@ def max_weakly_convex_no4ap(n: int) -> OracleResult:
                 break
         else:
             raise AssertionError("DP inconsistent: no extension found")
-    witness = RealSet(tuple(Fraction(v) for v in seq))
+    witness = RealSet(seq, den=1)
     assert len(witness) == total
     return OracleResult(total, witness, True)
 
@@ -286,7 +278,7 @@ class ConvexSubsetStream:
         self.yielded = 0
 
     def __iter__(self) -> Iterator[RealSet]:
-        e = self.base.elements
+        e, den = self.base.ints, self.base.den
         m = len(e)
         if self.size_cap < 3:
             return
@@ -304,7 +296,7 @@ class ConvexSubsetStream:
                         capped = True
                     else:
                         self.yielded += 1
-                        yield RealSet(tuple(e[t] for t in seq))
+                        yield RealSet([e[t] for t in seq], den=den)
                 if not capped and len(seq) < self.size_cap:
                     yield from extend(idx + 1)
                 seq.pop()

@@ -8,7 +8,7 @@ import pytest
 import convexdiff as cd
 from convexdiff import InvalidInput, InvalidParams, RealSet, Report
 from convexdiff import claims
-from convexdiff.claims import _membership_failures
+from convexdiff.claims import _non_differences
 
 
 def test_report_invariant():
@@ -151,29 +151,32 @@ def test_thm1_size_reports_size_below_bound(monkeypatch):
 def test_membership_check_catches_alien_elements():
     n = 300
     s, _ = cd.glue_chain(n)
-    assert _membership_failures(n, s, limit=5) == []
-    off = F(1, n**5)
-    bad = RealSet(tuple(x + off for x in s))
-    fails = _membership_failures(n, bad, limit=5)
+    ints = list(s.over(n**5))
+    assert _non_differences(n, ints, limit=5) == []
+    shifted = [v + 1 for v in ints]  # every element moved by 1/n^5
+    fails = _non_differences(n, shifted, limit=5)
     assert 1 <= len(fails) <= 5
-    assert all(isinstance(x, str) for x in fails)
+    assert set(fails) <= set(shifted)
 
 
 @pytest.mark.parametrize("n", [100, 300])
 def test_membership_check_agrees_with_difference_set(n):
+    n5 = n**5
     d = cd.difference_set(cd.thm1_set(n))
-    nonzero = RealSet(tuple(x for x in d if x != 0))
-    assert _membership_failures(n, nonzero, limit=len(nonzero)) == []
-    assert _membership_failures(n, RealSet((0,)), limit=1) == []
-    off = F(1, n**5)
-    positive = [x for x in d if x > 0]
-    for shift in (-off, off):
-        shifted = RealSet(tuple(x + shift for x in positive))
-        fails = _membership_failures(n, shifted, limit=len(shifted))
-        assert fails == [str(x) for x in shifted]
-    # A denominator that does not divide n^5 is never a difference.
-    alien = positive[0] + F(1, 7 * n**5)
-    assert _membership_failures(n, RealSet((alien,)), limit=1) == [str(alien)]
+    vals = d.over(n5)
+    nonzero = [v for v in vals if v != 0]
+    assert _non_differences(n, nonzero, limit=len(nonzero)) == []
+    assert _non_differences(n, [0], limit=1) == []
+    positive = [v for v in vals if v > 0]
+    for shift in (-1, 1):  # by 1/n^5
+        shifted = [v + shift for v in positive]
+        assert _non_differences(n, shifted, limit=len(shifted)) == shifted
+    # A denominator that does not divide n^5 is never a difference: such a
+    # set has no ints over n^5 to check.
+    alien = RealSet((d[-1] + F(1, 7 * n5),))
+    assert n5 % alien.den != 0
+    with pytest.raises(InvalidInput):
+        alien.over(n5)
 
 
 def test_claims3_exhaustive_frozen():
@@ -198,6 +201,11 @@ def test_claims3_sampled():
     assert r.passed
     assert r.counts["subsets_checked"] == 500
     assert r.counts["subsets_truncated"] == 1
+    assert r.params == {"n": 6, "exhaustive": False, "sample_cap": 500}
+    # The default cap does not cut n = 6 short, so that run is exhaustive.
+    full = cd.verify_claims_3(6)
+    assert full.passed and full.counts["subsets_truncated"] == 0
+    assert full.params == {"n": 6, "exhaustive": True, "sample_cap": 20000}
 
 
 def test_claims3_param_gate():

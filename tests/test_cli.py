@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -214,6 +215,45 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe" + '{"elements": []}'.encode("utf-16-le"))
     assert main(["oracle", "lcs", "--in", str(bad)]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit of 4300 digits on int/str conversion, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_too_long_output_exits_2(tmp_path, capsys, digit_limit):
+    # The elements of thm3_set(1400) have up to 4829 decimal digits.
+    out = tmp_path / "a.json"
+    assert main(["construct", "thm3", "--n", "1400", "--out", str(out)]) == 2
+    assert "too long to write" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_too_long_input_exits_2(tmp_path, capsys, digit_limit):
+    bad = tmp_path / "long.json"
+    bad.write_text('{"elements": [{"num": "%s", "den": "1"}]}' % ("7" * 5000))
+    assert main(["oracle", "lcs", "--in", str(bad)]) == 2
+    assert "too long to read" in capsys.readouterr().err
+    bad.write_text('{"elements": [%s]}' % ("7" * 5000))  # a bare JSON number
+    assert main(["oracle", "lcs", "--in", str(bad)]) == 2
+    assert "too long to read" in capsys.readouterr().err
+
+
+def test_values_at_the_digit_limit_round_trip(tmp_path, capsys, digit_limit):
+    top = 10**digit_limit - 1  # exactly at the limit
+    s = RealSet.from_values((F(1, top), 1, F(top, 2)))  # convex: gaps 1 - 1/top < top/2 - 1
+    path = tmp_path / "s.json"
+    _emit_set(s, str(path))
+    text = path.read_text()
+    assert str(top) in text and RealSet.from_json(json.loads(text)) == s
+    assert main(["oracle", "lcs", "--in", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["value"] == 3 and RealSet.from_json(result["witness"]) == s
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])

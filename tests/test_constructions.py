@@ -70,8 +70,8 @@ def test_thm1_set_strict_mode_gate():
 def test_thm1_block_example():
     blk = cd.thm1_block(100, 1)
     assert blk.values[0] == 1 + F(225, 10**4) + F(7, 10**10)
-    assert blk.k == 1 and blk.first_index == 1
-    assert blk.count == len(blk.values) == 99
+    assert blk.k == 1
+    assert len(blk.values) == 99
 
 
 def test_thm1_block_matches_set_differences():

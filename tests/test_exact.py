@@ -132,11 +132,6 @@ def test_matching_json_round_trip():
         Matching.from_json({"base_size": True, "pairs": []})
 
 
-def test_difference_block_count_checked():
-    with pytest.raises(InvalidInput):
-        cd.DifferenceBlock(k=1, values=RealSet((1, 2)), first_index=1, count=3)
-
-
 def test_is_convex_examples():
     assert cd.is_convex(RealSet((1, 2, 4, 8)))
     assert not cd.is_convex(RealSet((0, 1, 2, 3)))

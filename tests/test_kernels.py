@@ -9,11 +9,9 @@ import convexdiff as cd
 from convexdiff import InvalidInput, TooLarge
 from convexdiff.kernels import (
     INT64_SAFE,
-    KERNEL_ENV,
     MAX_TABLE,
     available_tiers,
     compute_table,
-    resolve_kernel,
 )
 
 
@@ -58,29 +56,13 @@ def test_force_bad_name_rejected():
             compute_table([1, 2, 4], force=name)
 
 
-def test_env_flag_selects_tier(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "python")
-    _, tier = compute_table([1, 2, 4, 8])
-    assert tier == "python"
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    _, tier = compute_table([1, 2, 4, 8])
-    assert tier == "numpy"
-    monkeypatch.setenv(KERNEL_ENV, "bogus")
-    with pytest.raises(InvalidInput):
-        compute_table([1, 2, 4, 8])
-
-
-def test_force_overrides_env(monkeypatch):
-    monkeypatch.setenv(KERNEL_ENV, "numpy")
-    _, tier = compute_table([1, 2, 4, 8], force="python")
-    assert tier == "python"
-
-
 def test_int64_guard_forces_python_tier():
     big = [0, INT64_SAFE // 2, INT64_SAFE + 7]
     _, tier = compute_table(big, force="numpy")
     assert tier == "python"
-    assert resolve_kernel(int64_safe=False, force="numpy") == "python"
+    _, tier = compute_table(big)
+    assert tier == "python"
+    assert compute_table([1, 2, 4, 8])[1] == "numpy"  # the default below the bound
 
 
 def test_tiers_agree_on_random_tables():
