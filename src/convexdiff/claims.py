@@ -231,16 +231,18 @@ def _element_strs(s: RealSet) -> list[str]:
     return [str(x) for x in s]
 
 
-def _subset_violation(n: int, s: RealSet) -> Optional[dict]:
+def _subset_violation(s: RealSet, blocks: dict[int, tuple[int, int]]) -> Optional[dict]:
     """Check one convex subset of the positive differences against the
     block-structure claims: at most one block holds >= 2 elements and it is
     the lowest occupied one; no block holds > 2; the occupied block indices
-    are weakly convex; |S| <= #occupied blocks + 1."""
+    are weakly convex; |S| <= #occupied blocks + 1. `blocks` maps each
+    positive difference of the digit set, an int like every element of s,
+    to its decoded (k, j)."""
     decoded = []
-    for x in s:
-        kj = thm3_block_of(n, x)
+    for v in s.ints:
+        kj = blocks.get(v)
         if kj is None:
-            return {"claim": "decode", "element": str(x), "set": _element_strs(s)}
+            return {"claim": "decode", "element": str(v), "set": _element_strs(s)}
         decoded.append(kj)
     per_block = Counter(k for k, _ in decoded)
     over = sorted(k for k, c in per_block.items() if c > 2)
@@ -272,10 +274,13 @@ def _subset_violation(n: int, s: RealSet) -> Optional[dict]:
     return None
 
 
-def _ap_violation(n: int, s: RealSet, matching_json: dict) -> Optional[dict]:
-    """Check Claim 3.4 on a matching-derived set: the occupied block indices
-    must not contain four consecutive entries in arithmetic progression."""
-    kl = sorted({thm3_block_of(n, x)[0] for x in s})
+def _ap_violation(
+    s: RealSet, blocks: dict[int, tuple[int, int]], matching_json: dict
+) -> Optional[dict]:
+    """Check Claim 3.4 on a matching-derived set that _subset_violation
+    passed: the occupied block indices must not contain four consecutive
+    entries in arithmetic progression."""
+    kl = sorted({blocks[v][0] for v in s.ints})
     for t in range(len(kl) - 3):
         if kl[t + 1] - kl[t] == kl[t + 2] - kl[t + 1] == kl[t + 3] - kl[t + 2]:
             return {
@@ -301,13 +306,15 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
     a = thm3_set(n)
     d = difference_set(a)
     pos = RealSet(d.ints[bisect_right(d.ints, 0) :], den=d.den)
+    # Each subset draws on these n(n-1)/2 values, so decode each one once.
+    blocks = {v: thm3_block_of(n, v) for v in pos.over(1)}
     cap = None if n <= 5 else (20000 if sample_cap is None else sample_cap)
     stream = enumerate_convex_subsets(pos, count_cap=cap)
     counts = {"subsets_checked": 0, "matchings_checked": 0}
     counterexample = None
     for s in stream:
         counts["subsets_checked"] += 1
-        counterexample = _subset_violation(n, s)
+        counterexample = _subset_violation(s, blocks)
         if counterexample is not None:
             break
     counts["subsets_truncated"] = int(stream.truncated)
@@ -317,8 +324,8 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
             if len(m) == 0:
                 continue
             s_m = restricted_difference_set(a, m)
-            counterexample = _subset_violation(n, s_m) or _ap_violation(
-                n, s_m, m.to_json()
+            counterexample = _subset_violation(s_m, blocks) or _ap_violation(
+                s_m, blocks, m.to_json()
             )
             if counterexample is not None:
                 break
@@ -360,11 +367,17 @@ def _growth_cell(family: str, n: int):
 
 
 def growth_table(family: str, n_list: Sequence[int]) -> list[tuple]:
-    """Rows (family, n, value, exhaustive); value is "skipped" when infeasible."""
+    """Rows (family, n, value, exhaustive); value is "skipped" when infeasible.
+
+    Every n must be >= 1: a meaningless n is an error, not a skipped row.
+    """
     if family not in GROWTH_FAMILIES:
         raise InvalidParams(
             f"unknown family {family!r}; expected one of {', '.join(GROWTH_FAMILIES)}"
         )
+    low = min(n_list, default=1)
+    if low < 1:
+        raise InvalidParams(f"every n must be >= 1, got {low}")
     rows = []
     for n in n_list:
         value, exhaustive = _growth_cell(family, n)

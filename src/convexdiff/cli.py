@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import textwrap
 from typing import Optional, Sequence
 
 from . import claims, constructions, oracles
@@ -33,25 +34,43 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     _write(json.dumps(payload, indent=2) + "\n", out)
 
 
-# One element of a RealSet as json.dumps(..., indent=2) lays it out.
+# One element of a RealSet as json.dumps(..., indent=2) lays it out at the top level.
 _SET_ITEM = '    {\n      "num": "%d",\n      "den": "%d"\n    }'
 
 
-def _emit_set(s: RealSet, out: Optional[str]) -> None:
-    """Write s exactly as _emit(s.to_json(), out) would.
+def _set_text(s: RealSet, pad: str = "") -> str:
+    """json.dumps(s.to_json(), indent=2) as it reads nested under `pad`.
 
     json.dumps uses its C encoder only without indent, and the pure-Python
     one is most of the cost of a large set. The elements hold only digits
-    and "-", so nothing needs escaping. No file is opened before the text is built.
+    and "-", so nothing needs escaping.
     """
     if len(s) == 0:
-        _write('{\n  "elements": []\n}\n', out)
-        return
+        return '{\n' + pad + '  "elements": []\n' + pad + "}"
+    item = textwrap.indent(_SET_ITEM, pad)
     try:
-        items = ",\n".join(_SET_ITEM % pair for pair in s.reduced())
+        items = ",\n".join(item % pair for pair in s.reduced())
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise TooLarge(f"set element too long to write in decimal: {exc}") from exc
-    _write('{\n  "elements": [\n' + items + "\n  ]\n}\n", out)
+    return "{\n" + pad + '  "elements": [\n' + items + "\n" + pad + "  ]\n" + pad + "}"
+
+
+def _emit_set(s: RealSet, out: Optional[str]) -> None:
+    """Write s exactly as _emit(s.to_json(), out) would. No file is opened
+    before the text is built."""
+    _write(_set_text(s) + "\n", out)
+
+
+def _emit_oracle(res: oracles.OracleResult) -> None:
+    """Print res exactly as _emit(res.to_json(), None) would, a RealSet witness by _set_text."""
+    if not isinstance(res.witness, RealSet):
+        _emit(res.to_json(), None)
+        return
+    head = '{\n  "value": %s,\n  "exhaustive": %s,\n  "witness": ' % (
+        json.dumps(res.value),
+        json.dumps(res.exhaustive),
+    )
+    _write(head + _set_text(res.witness, "  ") + "\n}\n", None)
 
 
 def _read_realset(path: str) -> RealSet:
@@ -162,7 +181,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         else:
             limit = 12 if args.limit is None else args.limit
             res = oracles.max_convex_matching(base, limit=limit)
-    _emit(res.to_json(), None)
+    _emit_oracle(res)
     _log(f"oracle {args.kind}: value {res.value}, exhaustive {res.exhaustive}")
     return 0
 

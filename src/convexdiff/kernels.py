@@ -3,22 +3,25 @@
 The table is g[a][t] = length of the longest convex subsequence that starts
 with elements at positions a < t:
 
-    g[a][t] = 1 + max(g[t][lo:])   lo = first u > t with B[u] - B[t] > B[t] - B[a]
-    g[a][t] = 2                    if there is no such u (lo = m)
+    g[a][t] = 1 + s[lo]    s[u] = max(g[t][u:]), s[m] = 1
+    lo = first u > t with B[u] - B[t] > B[t] - B[a], or m if there is none
 
 It is filled column by column, t = m-1 down to 1. Every g[t][u] with u > t
-lies in a later column, so row t is complete when column t starts, and one
-suffix-maximum vector s of row t, with s[m] = 1, gives the whole column as
-1 + s[lo]. The entries are at most m <= MAX_TABLE, so the table is int16.
+lies in a later column, so row t and its suffix maximum s are complete when
+column t starts. Column t is a step function of a with one step per level
+of s: s never increases, and a row a reaches the level ending at q (lo <= q)
+exactly when B[a] > 2*B[t] - B[q], that is for every a >= r(q), one binary
+search. Placing 1 + s[q] at row r(q) and taking the running maximum down
+the rows writes the column once. Only the levels between lo(t-1) and lo(0)
+are reached, and the one holding lo(0) covers every row. The entries are at
+most m <= MAX_TABLE, so the table is int16.
 
-The two tiers differ only in how they find lo:
+The two tiers differ only in how they find r(q):
 
   * numpy  - one searchsorted call per column over int64 values; the table
              is returned as the int16 ndarray
-  * python - Python ints of any size; within a column the thresholds
-             2*B[t] - B[a] grow as a falls, so lo only moves right and a
-             two-pointer scan finds it; the table is returned as a list of
-             lists
+  * python - one bisect_right per level over Python ints of any size; the
+             table is returned as a list of lists
 
 The numpy tier is the default. Inputs whose values exceed the int64 safety
 bound always take the python tier, even when numpy is forced, since the
@@ -44,34 +47,26 @@ MAX_TABLE = 4096
 INT64_SAFE = (2**63 - 1) // 4
 
 
-def _scan_column(values: Sequence[int], t: int) -> list[int]:
-    """lo for a = t-1 down to 0, by a two-pointer scan over Python ints."""
-    m = len(values)
-    twice = 2 * values[t]
-    # Rows a < start have 2*b[t] - b[a] >= b[m-1], so lo = m.
-    start = bisect_right(values, twice - values[-1], 0, t)
-    lo, out = t + 1, []
-    for va in reversed(values[start:t]):
-        th = twice - va
-        while values[lo] <= th:  # stops by m-1, since th < b[m-1]
-            lo += 1
-        out.append(lo)
-    return out + [m] * start
-
-
 def _table(values: Sequence[int], tier: str) -> np.ndarray:
     m = len(values)
     b = np.asarray(values, dtype=np.int64) if tier == "numpy" else None
     g = np.zeros((m, m), dtype=np.int16)
-    s = np.ones(m + 1, dtype=np.int16)  # s[u] = max(g[t][u:]) for u > t; s[m] = 1
+    s = np.ones(m + 1, dtype=np.int16)  # s[u] = max(g[t][u:]) for u >= near; s[m] = 1
+    col = np.zeros(m, dtype=np.int16)  # 1 + s[q] placed at row r(q)
     for t in range(m - 1, 0, -1):
-        s[t + 1 : m] = np.maximum.accumulate(g[t, :t:-1])[::-1]
+        twice = 2 * values[t]
+        near = bisect_right(values, twice - values[t - 1], t + 1)  # lo of row t-1
+        far = bisect_right(values, twice - values[0], near)  # lo of row 0
+        np.maximum.accumulate(g[t, : near - 1 : -1], out=s[m - 1 : near - 1 : -1])
+        k = (s[near:far] > s[near + 1 : far + 1]).nonzero()[0]  # level ends q = near + k
         if b is None:
-            lo = _scan_column(values, t)
+            r = [bisect_right(values, twice - values[near + i], 0, t) for i in k.tolist()]
         else:
-            # a = t-1 down to 0, so the thresholds reach searchsorted ascending
-            lo = np.searchsorted(b, 2 * b[t] - b[t - 1 :: -1], side="right")
-        g[t - 1 :: -1, t] = s[lo] + 1
+            r = np.searchsorted(b, 2 * b[t] - b[near:][k], side="right")
+        col[:t] = 0
+        col[0] = s[far] + 1
+        np.maximum.at(col, r, s[near:][k] + 1)
+        np.maximum.accumulate(col[:t], out=g[:t, t])
     return g
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from . import kernels
-from .errors import InvalidInput, TooLarge
+from .errors import InvalidInput, InvalidParams, TooLarge
 from .exact import Matching, RealSet, gaps_increase, is_convex, restricted_difference_set
 
 
@@ -103,6 +103,8 @@ def max_convex_matching(a: RealSet, limit: int = 12) -> OracleResult:
     exactly the condition keeping the distinct-value set convex. |M| counts
     pairs, so repeated difference values still count.
     """
+    if limit < 0:
+        raise InvalidParams(f"limit must be >= 0, got {limit}")
     if not is_convex(a):
         raise InvalidInput("max_convex_matching is defined for convex base sets")
     n = len(a)

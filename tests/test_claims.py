@@ -229,6 +229,21 @@ def test_claims3_size_bound_holds_by_hand():
         assert len(s) <= len(ks) + 1
 
 
+def test_claims3_undecodable_value_is_a_counterexample(monkeypatch):
+    # A positive difference the decoder rejects must surface as a "decode"
+    # counterexample in the first subset that holds it.
+    n = 4
+    pos = [x for x in cd.difference_set(cd.thm3_set(n)).ints if x > 0]
+    missing = pos[len(pos) // 2]
+    real = claims.thm3_block_of
+    monkeypatch.setattr(claims, "thm3_block_of", lambda n, x: None if x == missing else real(n, x))
+    report = claims.verify_claims_3(n)
+    assert not report.passed
+    assert report.counterexample["claim"] == "decode"
+    assert report.counterexample["element"] == str(missing)
+    assert str(missing) in report.counterexample["set"]
+
+
 def test_growth_table_thm3_cm_envelope():
     rows = cd.growth_table("thm3_cm", list(range(4, 11)))
     vals = [v for _, _, v, _ in rows]

@@ -118,6 +118,15 @@ def test_oracle_cm_guard_and_override(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["exhaustive"] is True
 
 
+def test_oracle_cm_negative_limit_exits_2(tmp_path, capsys):
+    inp = _write_set(tmp_path / "a.json", [1, 2, 4])
+    assert main(["oracle", "cm", "--in", inp, "--limit", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "limit must be >= 0" in err
+    assert main(["oracle", "cm", "--in", inp, "--limit", "3"]) == 0
+    capsys.readouterr()
+
+
 def test_verify_claim22_passes(capsys):
     assert main(["verify", "claim22", "--n", "1000"]) == 0
     out, err = capsys.readouterr()
@@ -179,6 +188,15 @@ def test_bench_bad_n_list(tmp_path, capsys):
     rc = main(["bench", "growth", "--family", "no4ap_max", "--n-list", "4,x", "--csv", str(tmp_path / "g.csv")])
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_list", ["0,-3", "4,0", "-1"])
+def test_bench_n_below_1_exits_2(n_list, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    rc = main(["bench", "growth", "--family", "no4ap_max", "--n-list", n_list, "--csv", str(out)])
+    assert rc == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_usage_exits_2(tmp_path):
@@ -292,3 +310,40 @@ def test_written_sets_match_reference_encoder(argv, build, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text(encoding="utf-8") == _reference_set_text(build())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (7,),  # one element: lcs returns the set itself
+        (F(-5, 2), F(1, 3), 1, F(7, 6), 2, F(13, 4)),
+        tuple(10**30 + i * i for i in range(12)) + (10**31,),
+        tuple(x for x in cd.difference_set(cd.thm3_set(13)) if x > 0)[:60],
+    ],
+)
+def test_oracle_witness_matches_reference_encoder(values, tmp_path, capsys):
+    base = RealSet.from_values(values)
+    inp = _write_set(tmp_path / "a.json", values)
+    assert main(["oracle", "lcs", "--in", inp]) == 0
+    expected = json.dumps(cd.lcs_convex(base).to_json(), indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_no4ap_and_cm_output_match_reference_encoder(tmp_path, capsys):
+    assert main(["oracle", "no4ap", "--n", "9"]) == 0
+    expected = json.dumps(cd.max_weakly_convex_no4ap(9).to_json(), indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+    inp = _write_set(tmp_path / "a.json", [1, 2, 4, 8, 16])
+    assert main(["oracle", "cm", "--in", inp]) == 0
+    res = cd.max_convex_matching(RealSet([1, 2, 4, 8, 16]))
+    expected = json.dumps(res.to_json(), indent=2) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+def test_too_long_witness_exits_2(tmp_path, capsys, monkeypatch, digit_limit):
+    huge = RealSet([1, 10**5000])  # 5001 digits: beyond the limit, built without str()
+    monkeypatch.setattr(cd.oracles, "lcs_convex", lambda b: cd.OracleResult(2, huge, True))
+    inp = _write_set(tmp_path / "a.json", [1, 2])
+    assert main(["oracle", "lcs", "--in", inp]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "too long to write" in err
