@@ -46,13 +46,13 @@ def _set_text(s: RealSet, pad: str = "") -> str:
     and "-", so nothing needs escaping.
     """
     if len(s) == 0:
-        return '{\n' + pad + '  "elements": []\n' + pad + "}"
+        return f'{{\n{pad}  "elements": []\n{pad}}}'
     item = textwrap.indent(_SET_ITEM, pad)
     try:
         items = ",\n".join(item % pair for pair in s.reduced())
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise TooLarge(f"set element too long to write in decimal: {exc}") from exc
-    return "{\n" + pad + '  "elements": [\n' + items + "\n" + pad + "  ]\n" + pad + "}"
+    return f'{{\n{pad}  "elements": [\n{items}\n{pad}  ]\n{pad}}}'
 
 
 def _emit_set(s: RealSet, out: Optional[str]) -> None:
