@@ -309,15 +309,18 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
     # Each subset draws on these n(n-1)/2 values, so decode each one once.
     blocks = {v: thm3_block_of(n, v) for v in pos.over(1)}
     cap = None if n <= 5 else (20000 if sample_cap is None else sample_cap)
-    stream = enumerate_convex_subsets(pos, count_cap=cap)
     counts = {"subsets_checked": 0, "matchings_checked": 0}
     counterexample = None
-    for s in stream:
+    truncated = False
+    for s in enumerate_convex_subsets(pos):
+        if counts["subsets_checked"] == cap:
+            truncated = True
+            break
         counts["subsets_checked"] += 1
         counterexample = _subset_violation(s, blocks)
         if counterexample is not None:
             break
-    counts["subsets_truncated"] = int(stream.truncated)
+    counts["subsets_truncated"] = int(truncated)
     if counterexample is None:
         for m in iter_convex_matchings(a):
             counts["matchings_checked"] += 1
@@ -331,7 +334,7 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
                 break
     return Report(
         claim_id="claims3",
-        params={"n": n, "exhaustive": not stream.truncated, "sample_cap": cap},
+        params={"n": n, "exhaustive": not truncated, "sample_cap": cap},
         passed=counterexample is None,
         counterexample=counterexample,
         counts=counts,

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["thm1", "thm3", "squares", "random"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strict", action="store_true", help="thm1: enforce n % 100 == 0, n >= 1000")
-    p.add_argument("--seed", type=int, default=0, help="random: RNG seed")
+    p.add_argument("--seed", type=int, help="random: RNG seed (default 0)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("glue", help="glue the difference blocks into one convex set")
@@ -139,7 +139,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "squares":
         s = constructions.squares_set(args.n)
     else:
-        s = gen_convex_random(args.n, args.seed)
+        s = gen_convex_random(args.n, 0 if args.seed is None else args.seed)
     _emit_set(s, args.out)
     _log(f"construct {args.kind}: wrote {len(s)} elements to {args.out}")
     return 0
@@ -215,6 +215,29 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+# Flags that only some kinds read: (command, dest) -> (flag, kinds reading it).
+_KIND_FLAGS = {
+    ("construct", "strict"): ("--strict", ("thm1",)),
+    ("construct", "seed"): ("--seed", ("random",)),
+    ("oracle", "inp"): ("--in", ("lcs", "cm")),
+    ("oracle", "n"): ("--n", ("no4ap",)),
+    ("oracle", "limit"): ("--limit", ("cm",)),
+    ("verify", "sample_cap"): ("--sample-cap", ("claims3",)),
+}
+
+
+def _reject_ignored_flags(args: argparse.Namespace) -> None:
+    """A flag the chosen kind would ignore is an error, not a silent no-op."""
+    for (command, dest), (flag, kinds) in _KIND_FLAGS.items():
+        if command != args.command or args.kind in kinds:
+            continue
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # --seed 0 counts as given
+            raise InvalidParams(
+                f"{flag} does not apply to {command} {args.kind} (only {'|'.join(kinds)})"
+            )
+
+
 _HANDLERS = {
     "construct": _cmd_construct,
     "glue": _cmd_glue,
@@ -229,6 +252,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _reject_ignored_flags(args)
         return _HANDLERS[args.command](args)
     except ConvexDiffError as exc:
         _log(f"error: {exc}")

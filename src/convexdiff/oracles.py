@@ -94,88 +94,24 @@ def _sorted_pairs(a: RealSet) -> tuple[list[tuple[int, int]], list[int]]:
     return pairs, [e[hi - 1] - e[lo - 1] for lo, hi in pairs]
 
 
-def max_convex_matching(a: RealSet, limit: int = 12) -> OracleResult:
-    """Largest matching on A whose restricted difference set is convex.
+def _convex_matchings(a: RealSet) -> Iterator[list[tuple[int, int]]]:
+    """Every matching on A whose restricted difference set is convex, once each.
 
     Depth-first search over pairs in increasing difference order. A branch
     adds a pair only when its difference either repeats the last distinct
     value or exceeds it by more than the previous distinct gap, which is
-    exactly the condition keeping the distinct-value set convex. |M| counts
-    pairs, so repeated difference values still count.
+    exactly the condition keeping the distinct-value set convex. Yields the
+    live list of chosen pairs at every node, the empty matching first; a
+    caller that keeps one must copy it.
     """
-    if limit < 0:
-        raise InvalidParams(f"limit must be >= 0, got {limit}")
-    if not is_convex(a):
-        raise InvalidInput("max_convex_matching is defined for convex base sets")
-    n = len(a)
-    if n > limit:
-        raise TooLarge(f"{n} elements exceeds the exhaustive guard {limit}")
-    pairs, diffs = _sorted_pairs(a)
-    used = [False] * (n + 1)
-    chosen: list[tuple[int, int]] = []
-    distinct: list[int] = []
-    best_size = -1
-    best_canon: tuple[tuple[int, int], ...] = ()
-
-    def consider() -> None:
-        nonlocal best_size, best_canon
-        canon = tuple(sorted(chosen))
-        if len(chosen) > best_size or (
-            len(chosen) == best_size and canon < best_canon
-        ):
-            best_size, best_canon = len(chosen), canon
-
-    def dfs(pos: int, free: int) -> None:
-        consider()
-        # Even pairing every free element cannot beat the best: cut. Ties
-        # must be explored for the lexicographic winner.
-        if len(chosen) + free // 2 < best_size:
-            return
-        for idx in range(pos, len(pairs)):
-            lo, hi = pairs[idx]
-            if used[lo] or used[hi]:
-                continue
-            d = diffs[idx]
-            fresh = not distinct or d != distinct[-1]
-            if (
-                fresh
-                and len(distinct) >= 2
-                and d - distinct[-1] <= distinct[-1] - distinct[-2]
-            ):
-                continue
-            used[lo] = used[hi] = True
-            chosen.append((lo, hi))
-            if fresh:
-                distinct.append(d)
-            dfs(idx + 1, free - 2)
-            if fresh:
-                distinct.pop()
-            chosen.pop()
-            used[lo] = used[hi] = False
-
-    dfs(0, n)
-    witness = Matching(base_size=n, pairs=best_canon)
-    assert len(witness) == best_size
-    assert is_convex(restricted_difference_set(a, witness))
-    return OracleResult(best_size, witness, True)
-
-
-def iter_convex_matchings(a: RealSet) -> Iterator[Matching]:
-    """Every matching on convex A whose restricted difference set is convex.
-
-    Enumerated without value pruning (the harness for the block-index claims
-    needs all of them, including the empty matching).
-    """
-    if not is_convex(a):
-        raise InvalidInput("iter_convex_matchings is defined for convex base sets")
     n = len(a)
     pairs, diffs = _sorted_pairs(a)
     used = [False] * (n + 1)
     chosen: list[tuple[int, int]] = []
     distinct: list[int] = []
 
-    def dfs(pos: int) -> Iterator[Matching]:
-        yield Matching(base_size=n, pairs=tuple(chosen))
+    def dfs(pos: int) -> Iterator[list[tuple[int, int]]]:
+        yield chosen
         for idx in range(pos, len(pairs)):
             lo, hi = pairs[idx]
             if used[lo] or used[hi]:
@@ -201,115 +137,107 @@ def iter_convex_matchings(a: RealSet) -> Iterator[Matching]:
     yield from dfs(0)
 
 
+def max_convex_matching(a: RealSet, limit: int = 12) -> OracleResult:
+    """Largest matching on A whose restricted difference set is convex.
+
+    |M| counts pairs, so repeated difference values still count. Ties go to
+    the lexicographically smallest sorted pair list.
+    """
+    if limit < 0:
+        raise InvalidParams(f"limit must be >= 0, got {limit}")
+    if not is_convex(a):
+        raise InvalidInput("max_convex_matching is defined for convex base sets")
+    n = len(a)
+    if n > limit:
+        raise TooLarge(f"{n} elements exceeds the exhaustive guard {limit}")
+    best_size = -1
+    best: tuple[tuple[int, int], ...] = ()
+    for chosen in _convex_matchings(a):
+        if len(chosen) >= best_size:
+            canon = tuple(sorted(chosen))
+            if len(chosen) > best_size or canon < best:
+                best_size, best = len(chosen), canon
+    witness = Matching(base_size=n, pairs=best)
+    assert len(witness) == best_size
+    assert is_convex(restricted_difference_set(a, witness))
+    return OracleResult(best_size, witness, True)
+
+
+def iter_convex_matchings(a: RealSet) -> Iterator[Matching]:
+    """Every matching on convex A whose restricted difference set is convex,
+    the empty matching included."""
+    if not is_convex(a):
+        raise InvalidInput("iter_convex_matchings is defined for convex base sets")
+    for chosen in _convex_matchings(a):
+        yield Matching(base_size=len(a), pairs=tuple(chosen))
+
+
+# The no-4-AP table has (n + 1)(n + 2) entries; above this n it is refused.
+NO4AP_MAX_N = 2000
+
+
 def max_weakly_convex_no4ap(n: int) -> OracleResult:
     """Largest weakly convex K in {1..n} with no four consecutive elements in AP.
 
-    Four consecutive elements in AP means three consecutive equal gaps, so
-    the DP state is (last element, last gap, trailing AP length capped at 3)
-    and the search is polynomial; results are exhaustive for every n.
+    Four consecutive elements in AP means three consecutive equal gaps. Let
+    h[x][g] be the most elements that can follow x when every later gap is
+    >= g and the first of them starts a new run. The gap g may then be taken
+    once or twice, so h[x][g] = max(h[x][g+1], 1 + after(x+g, g, 2)), a
+    suffix maximum over g; the table is filled in O(n^2) and the result is
+    exhaustive for every n. The witness is the lexicographically smallest.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidInput(f"n must be an int >= 1, got {n!r}")
-    if n == 1:
-        return OracleResult(1, RealSet([1], den=1), True)
+    if n > NO4AP_MAX_N:
+        raise TooLarge(f"n = {n} exceeds the no4ap table guard {NO4AP_MAX_N}")
+    h = [[0] * (n + 2) for _ in range(n + 1)]
 
-    memo: dict[tuple[int, int, int], int] = {}
+    def after(y: int, g: int, run: int) -> int:
+        """Most elements after y, reached by gap g at the end of a run of
+        `run` (2 or 3) elements in AP."""
+        if run == 3 or y + g > n:
+            return h[y][g + 1]
+        return max(h[y][g + 1], 1 + h[y + g][g + 1])
 
-    def best(last: int, gap: int, run: int) -> int:
-        key = (last, gap, run)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        res = 0
-        for g2 in range(gap, n - last + 1):
-            if g2 == gap:
-                if run == 3:
-                    continue
-                cand = 1 + best(last + g2, g2, 3)
-            else:
-                cand = 1 + best(last + g2, g2, 2)
-            if cand > res:
-                res = cand
-        memo[key] = res
-        return res
-
-    total = max(
-        2 + best(b, b - a, 2) for a in range(1, n) for b in range(a + 1, n + 1)
-    )
-    a1 = next(
-        a
-        for a in range(1, n)
-        if any(2 + best(b, b - a, 2) == total for b in range(a + 1, n + 1))
-    )
-    b1 = next(b for b in range(a1 + 1, n + 1) if 2 + best(b, b - a1, 2) == total)
-    seq = [a1, b1]
-    last, gap, run, need = b1, b1 - a1, 2, total - 2
+    for x in range(n - 1, 0, -1):
+        row = h[x]
+        for g in range(n - x, 0, -1):
+            row[g] = max(row[g + 1], 1 + after(x + g, g, 2))
+    total = 1 + max(h[x][1] for x in range(1, n + 1))
+    seq = [next(x for x in range(1, n + 1) if 1 + h[x][1] == total)]
+    # The first gap is free: gap 0 with a full run admits every g2 >= 1.
+    gap, run, need = 0, 3, total - 1
     while need > 0:
+        last = seq[-1]
         for g2 in range(gap, n - last + 1):
-            if g2 == gap and run == 3:
-                continue
             nrun = 3 if g2 == gap else 2
-            if 1 + best(last + g2, g2, nrun) == need:
-                seq.append(last + g2)
-                last, gap, run, need = last + g2, g2, nrun, need - 1
+            if nrun == run == 3:
+                continue
+            if 1 + after(last + g2, g2, nrun) == need:
                 break
         else:
             raise AssertionError("DP inconsistent: no extension found")
+        seq.append(last + g2)
+        gap, run, need = g2, nrun, need - 1
     witness = RealSet(seq, den=1)
     assert len(witness) == total
     return OracleResult(total, witness, True)
 
 
-class ConvexSubsetStream:
-    """Iterates convex subsets of size >= 3 in lexicographic index order.
+def enumerate_convex_subsets(b: RealSet) -> Iterator[RealSet]:
+    """Convex subsets of B with at least three elements, depth first, so in
+    lexicographic order of their index tuples. Cap with itertools.islice."""
+    e, den = b.ints, b.den
+    seq: list[int] = []
 
-    size_cap bounds subset size, count_cap bounds the number of yields;
-    `truncated` reports whether the count cap cut the enumeration short.
-    """
+    def extend(start: int) -> Iterator[RealSet]:
+        for idx in range(start, len(e)):
+            if len(seq) >= 2 and e[idx] - e[seq[-1]] <= e[seq[-1]] - e[seq[-2]]:
+                continue
+            seq.append(idx)
+            if len(seq) >= 3:
+                yield RealSet([e[t] for t in seq], den=den)
+            yield from extend(idx + 1)
+            seq.pop()
 
-    def __init__(
-        self,
-        base: RealSet,
-        size_cap: int | None = None,
-        count_cap: int | None = None,
-    ) -> None:
-        self.base = base
-        self.size_cap = len(base) if size_cap is None else size_cap
-        self.count_cap = count_cap
-        self.truncated = False
-        self.yielded = 0
-
-    def __iter__(self) -> Iterator[RealSet]:
-        e, den = self.base.ints, self.base.den
-        m = len(e)
-        if self.size_cap < 3:
-            return
-        seq: list[int] = []
-
-        def extend(start: int) -> Iterator[RealSet]:
-            for idx in range(start, m):
-                if len(seq) >= 2 and e[idx] - e[seq[-1]] <= e[seq[-1]] - e[seq[-2]]:
-                    continue
-                seq.append(idx)
-                capped = False
-                if len(seq) >= 3:
-                    if self.count_cap is not None and self.yielded >= self.count_cap:
-                        self.truncated = True
-                        capped = True
-                    else:
-                        self.yielded += 1
-                        yield RealSet([e[t] for t in seq], den=den)
-                if not capped and len(seq) < self.size_cap:
-                    yield from extend(idx + 1)
-                seq.pop()
-                if self.truncated:
-                    return
-
-        yield from extend(0)
-
-
-def enumerate_convex_subsets(
-    b: RealSet, size_cap: int | None = None, count_cap: int | None = None
-) -> ConvexSubsetStream:
-    """Stream of convex subsets of B (size >= 3), lexicographic, cap-aware."""
-    return ConvexSubsetStream(b, size_cap, count_cap)
+    yield from extend(0)

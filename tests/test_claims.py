@@ -206,6 +206,13 @@ def test_claims3_sampled():
     full = cd.verify_claims_3(6)
     assert full.passed and full.counts["subsets_truncated"] == 0
     assert full.params == {"n": 6, "exhaustive": True, "sample_cap": 20000}
+    # n = 6 has exactly 645 convex subsets: a cap of 645 cuts nothing, 644 one.
+    at = cd.verify_claims_3(6, sample_cap=645)
+    assert at.counts["subsets_checked"] == 645 and at.counts["subsets_truncated"] == 0
+    assert at.params["exhaustive"] is True
+    below = cd.verify_claims_3(6, sample_cap=644)
+    assert below.counts["subsets_checked"] == 644 and below.counts["subsets_truncated"] == 1
+    assert below.params["exhaustive"] is False
 
 
 def test_claims3_param_gate():

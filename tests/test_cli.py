@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -108,6 +109,42 @@ def test_oracle_no4ap(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 3
     assert [e["num"] for e in payload["witness"]["elements"]] == ["1", "2", "3"]
+
+
+def test_oracle_no4ap_table_guard_exits_2_before_allocating(capsys):
+    n = cd.oracles.NO4AP_MAX_N + 1
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "no4ap", "--n", str(n)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the table alone would be (n + 1)(n + 2) entries
+    out, err = capsys.readouterr()
+    assert out == "" and str(cd.oracles.NO4AP_MAX_N) in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "claim21", "--n", "1000", "--sample-cap", "5"], "--sample-cap"),
+        (["construct", "squares", "--n", "5", "--strict", "--seed", "9"], "--strict"),
+        (["construct", "thm3", "--n", "5", "--seed", "0"], "--seed"),
+        (["oracle", "lcs", "--in", "{set}", "--limit", "3", "--n", "7"], "--n"),
+        (["oracle", "lcs", "--in", "{set}", "--limit", "0"], "--limit"),
+        (["oracle", "no4ap", "--n", "4", "--in", "{set}"], "--in"),
+    ],
+)
+def test_flag_the_kind_ignores_exits_2(argv, flag, tmp_path, capsys):
+    inp = _write_set(tmp_path / "b.json", [1, 2, 3, 5])
+    out_path = tmp_path / "out.json"
+    argv = [a.replace("{set}", inp) for a in argv]
+    if argv[0] == "construct":
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err
+    assert not out_path.exists()
 
 
 def test_oracle_cm_guard_and_override(tmp_path, capsys):

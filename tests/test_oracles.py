@@ -120,14 +120,51 @@ def test_max_convex_matching_witness_revalidated():
         assert cd.is_convex(cd.restricted_difference_set(a, r.witness))
 
 
+def _all_matchings(n):
+    """Every matching on {1..n} as sorted pairs: the lowest free index is
+    either left out or paired with each later free index."""
+
+    def build(free):
+        if not free:
+            yield ()
+            return
+        lo, rest = free[0], free[1:]
+        yield from build(rest)
+        for j, hi in enumerate(rest):
+            for m in build(rest[:j] + rest[j + 1 :]):
+                yield ((lo, hi),) + m
+
+    return build(tuple(range(1, n + 1)))
+
+
+def test_all_matchings_reference_counts():
+    # the number of matchings on n points: 1, 1, 2, 4, 10, 26, 76, 232, 764
+    counts = [sum(1 for _ in _all_matchings(n)) for n in range(9)]
+    assert counts == [1, 1, 2, 4, 10, 26, 76, 232, 764]
+
+
 def test_max_convex_matching_equals_enumeration():
+    # Both matching oracles against every matching of the base set that
+    # has a convex restricted difference set, found without the DFS.
     rng = random.Random(52)
-    for _ in range(12):
-        a = cd.gen_convex_random(rng.randrange(2, 8), rng.randrange(10**6))
-        best = 0
-        for m in cd.iter_convex_matchings(a):
-            best = max(best, len(m))
-        assert cd.max_convex_matching(a).value == best
+    bases = [cd.gen_convex_random(rng.randrange(2, 8), rng.randrange(10**6)) for _ in range(12)]
+    bases += [cd.squares_set(n) for n in range(1, 8)]
+    bases += [cd.thm3_set(n) for n in range(2, 8)]
+    bases.append(RealSet((0, 1, 3, 6, 10)))  # 3 = 3 - 0 = 6 - 3, 4 = 10 - 6, ...
+    for a in bases:
+        n = len(a)
+        ref = {
+            m
+            for m in _all_matchings(n)
+            if cd.is_convex(cd.restricted_difference_set(a, Matching(n, m)))
+        }
+        got = [tuple(sorted(m.pairs)) for m in cd.iter_convex_matchings(a)]
+        assert len(got) == len(set(got))
+        assert set(got) == ref
+        best = max(len(m) for m in ref)
+        r = cd.max_convex_matching(a)
+        assert r.value == best
+        assert r.witness.pairs == min(m for m in ref if len(m) == best)
 
 
 def test_iter_convex_matchings_yields_valid_matchings():
@@ -166,11 +203,12 @@ def _no4ap_brute(n):
             gaps[i] == gaps[i + 1] == gaps[i + 2] for i in range(len(gaps) - 2)
         )
 
+    # the first hit is the lexicographically smallest set of the largest size
     for size in range(n, 0, -1):
         for combo in itertools.combinations(range(1, n + 1), size):
             if ok(combo):
-                return size
-    return 0
+                return list(combo)
+    return []
 
 
 def test_no4ap_examples():
@@ -182,7 +220,10 @@ def test_no4ap_examples():
 
 def test_no4ap_matches_bruteforce():
     for n in range(1, 14):
-        assert cd.max_weakly_convex_no4ap(n).value == _no4ap_brute(n)
+        r = cd.max_weakly_convex_no4ap(n)
+        witness = _no4ap_brute(n)
+        assert r.value == len(witness)
+        assert list(r.witness) == witness
 
 
 def test_no4ap_witness_revalidated():
@@ -219,31 +260,22 @@ def test_enumerate_convex_subsets_ap_skips():
 
 def test_enumerate_convex_subsets_lexicographic_and_capped():
     b = RealSet.from_values(range(10))
-    stream = cd.ConvexSubsetStream(b, size_cap=None, count_cap=5)
-    got = [tuple(int(x) for x in s) for s in stream]
+    capped = itertools.islice(cd.enumerate_convex_subsets(b), 5)
+    got = [tuple(int(x) for x in s) for s in capped]
     assert len(got) == 5
-    assert stream.truncated
-    # depth-first lexicographic order by element indices
     assert got[0] == (0, 1, 3)
-    assert got == sorted(got)
-    full = cd.ConvexSubsetStream(b, size_cap=None, count_cap=None)
-    alls = list(full)
-    assert not full.truncated
+    alls = [tuple(int(x) for x in s) for s in cd.enumerate_convex_subsets(b)]
+    # depth-first lexicographic order by element indices
+    assert alls == sorted(alls)
     assert len(alls) > 5
-    assert [tuple(int(x) for x in s) for s in alls[:5]] == got
-
-
-def test_enumerate_convex_subsets_size_cap():
-    b = RealSet.from_values(range(12))
-    sizes = {len(s) for s in cd.enumerate_convex_subsets(b, size_cap=3)}
-    assert sizes == {3}
+    assert alls[:5] == got
 
 
 def test_enumerate_thm3_positive_part_respects_block_bound():
     # every convex subset hits each digit block at most twice
     a = cd.thm3_set(4)
     pos = RealSet(tuple(x for x in cd.difference_set(a) if x > 0))
-    for s in cd.enumerate_convex_subsets(pos, count_cap=200):
+    for s in itertools.islice(cd.enumerate_convex_subsets(pos), 200):
         per_block = {}
         for x in s:
             kj = cd.thm3_block_of(4, x)
