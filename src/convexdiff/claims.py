@@ -35,6 +35,7 @@ from .exact import (
     restricted_difference_set,
 )
 from .oracles import (
+    CM_MAX_N,
     enumerate_convex_subsets,
     iter_convex_matchings,
     lcs_convex,
@@ -291,36 +292,28 @@ def _ap_violation(
     return None
 
 
-def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
+def verify_claims_3(n: int) -> Report:
     """Structural claims of the digit-set construction.
 
-    Convex subsets of the positive differences are enumerated and checked,
-    for n >= 6 at most sample_cap of them (20000 by default); "exhaustive"
-    says whether the cap left the enumeration complete. Matchings with convex
-    restricted difference sets are enumerated for the consecutive-AP claim.
+    Every convex subset of the positive differences is checked against
+    Claims 3.1-3.3 and the size bound. Every matching with a convex
+    restricted difference set is checked against the same and against the
+    consecutive-AP Claim 3.4.
     """
     if not isinstance(n, int) or not 2 <= n <= 8:
         raise InvalidParams(f"claims-3 harness supports 2 <= n <= 8, got {n!r}")
-    if sample_cap is not None and sample_cap < 1:
-        raise InvalidParams(f"sample_cap must be >= 1, got {sample_cap}")
     a = thm3_set(n)
     d = difference_set(a)
     pos = RealSet(d.ints[bisect_right(d.ints, 0) :], den=d.den)
     # Each subset draws on these n(n-1)/2 values, so decode each one once.
     blocks = {v: thm3_block_of(n, v) for v in pos.over(1)}
-    cap = None if n <= 5 else (20000 if sample_cap is None else sample_cap)
     counts = {"subsets_checked": 0, "matchings_checked": 0}
     counterexample = None
-    truncated = False
     for s in enumerate_convex_subsets(pos):
-        if counts["subsets_checked"] == cap:
-            truncated = True
-            break
         counts["subsets_checked"] += 1
         counterexample = _subset_violation(s, blocks)
         if counterexample is not None:
             break
-    counts["subsets_truncated"] = int(truncated)
     if counterexample is None:
         for m in iter_convex_matchings(a):
             counts["matchings_checked"] += 1
@@ -334,7 +327,7 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
                 break
     return Report(
         claim_id="claims3",
-        params={"n": n, "exhaustive": not truncated, "sample_cap": cap},
+        params={"n": n},
         passed=counterexample is None,
         counterexample=counterexample,
         counts=counts,
@@ -343,29 +336,24 @@ def verify_claims_3(n: int, sample_cap: Optional[int] = None) -> Report:
 
 GROWTH_FAMILIES = ("thm1_S_size", "thm3_cm", "squares_C", "no4ap_max")
 
-# Feasibility guards per family; out-of-range rows are marked skipped.
-THM3_CM_CAP = 12
-NO4AP_GROWTH_CAP = 400
-
 
 def _growth_cell(family: str, n: int):
+    """One growth value, or skipped when n is outside the family's range or an oracle's guard."""
     try:
         if family == "thm1_S_size":
             s, _ = glue_chain(n)
             return len(s), True
         if family == "thm3_cm":
-            if n > THM3_CM_CAP:
+            # Before thm3_set(n): its n values have n + 1 base-2n digits each.
+            if n > CM_MAX_N:
                 return "skipped", False
-            res = max_convex_matching(thm3_set(n), limit=THM3_CM_CAP)
-            return res.value, res.exhaustive
-        if family == "squares_C":
+            res = max_convex_matching(thm3_set(n))
+        elif family == "squares_C":
             res = lcs_convex(difference_set(squares_set(n)))
-            return res.value, res.exhaustive
-        if n > NO4AP_GROWTH_CAP:
-            return "skipped", False
-        res = max_weakly_convex_no4ap(n)
+        else:
+            res = max_weakly_convex_no4ap(n)
         return res.value, res.exhaustive
-    except (InvalidParams, InvalidInput, TooLarge):
+    except (InvalidParams, TooLarge):
         return "skipped", False
 
 

@@ -116,12 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["lcs", "cm", "no4ap"])
     p.add_argument("--in", dest="inp", help="input RealSet JSON (lcs, cm)")
     p.add_argument("--n", type=int, help="ground-set size (no4ap)")
-    p.add_argument("--limit", type=int, help="override the exhaustive guard (cm)")
 
     p = sub.add_parser("verify", help="check a claim, report JSON on stdout")
     p.add_argument("kind", choices=["claim21", "claim22", "thm1size", "claims3"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--sample-cap", type=int, dest="sample_cap")
 
     p = sub.add_parser("bench", help="emit growth tables")
     p.add_argument("what", choices=["growth"])
@@ -179,8 +177,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.kind == "lcs":
             res = oracles.lcs_convex(base)
         else:
-            limit = 12 if args.limit is None else args.limit
-            res = oracles.max_convex_matching(base, limit=limit)
+            res = oracles.max_convex_matching(base)
     _emit_oracle(res)
     _log(f"oracle {args.kind}: value {res.value}, exhaustive {res.exhaustive}")
     return 0
@@ -194,7 +191,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.kind == "thm1size":
         report = claims.verify_thm1_size(args.n)
     else:
-        report = claims.verify_claims_3(args.n, sample_cap=args.sample_cap)
+        report = claims.verify_claims_3(args.n)
     _emit(report.to_json(), None)
     _log(f"verify {args.kind}: {'pass' if report.passed else 'FAIL'}")
     return 0 if report.passed else 1
@@ -221,8 +218,6 @@ _KIND_FLAGS = {
     ("construct", "seed"): ("--seed", ("random",)),
     ("oracle", "inp"): ("--in", ("lcs", "cm")),
     ("oracle", "n"): ("--n", ("no4ap",)),
-    ("oracle", "limit"): ("--limit", ("cm",)),
-    ("verify", "sample_cap"): ("--sample-cap", ("claims3",)),
 }
 
 

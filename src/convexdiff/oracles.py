@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from . import kernels
-from .errors import InvalidInput, InvalidParams, TooLarge
+from .errors import InvalidInput, TooLarge
 from .exact import Matching, RealSet, gaps_increase, is_convex, restricted_difference_set
 
 
@@ -67,13 +67,17 @@ def lcs_convex(b: RealSet) -> OracleResult:
     return OracleResult(total, witness, True)
 
 
-def lcs_convex_bruteforce(b: RealSet, limit: int = 20) -> OracleResult:
+# The brute force tries up to 2^m subsets; above this m it is refused.
+LCS_BRUTE_MAX_N = 20
+
+
+def lcs_convex_bruteforce(b: RealSet) -> OracleResult:
     """Reference oracle: enumerate subsets largest-first, lexicographic within a size."""
     m = len(b)
     if m == 0:
         raise InvalidInput("lcs_convex_bruteforce needs a nonempty set")
-    if m > limit:
-        raise TooLarge(f"{m} elements exceeds the brute-force guard {limit}")
+    if m > LCS_BRUTE_MAX_N:
+        raise TooLarge(f"{m} elements exceeds the brute-force guard {LCS_BRUTE_MAX_N}")
     vals = b.ints
     for size in range(m, 0, -1):
         for combo in itertools.combinations(range(m), size):
@@ -137,19 +141,21 @@ def _convex_matchings(a: RealSet) -> Iterator[list[tuple[int, int]]]:
     yield from dfs(0)
 
 
-def max_convex_matching(a: RealSet, limit: int = 12) -> OracleResult:
+# The matching DFS visits every convex matching; above this size it is refused.
+CM_MAX_N = 12
+
+
+def max_convex_matching(a: RealSet) -> OracleResult:
     """Largest matching on A whose restricted difference set is convex.
 
     |M| counts pairs, so repeated difference values still count. Ties go to
     the lexicographically smallest sorted pair list.
     """
-    if limit < 0:
-        raise InvalidParams(f"limit must be >= 0, got {limit}")
     if not is_convex(a):
         raise InvalidInput("max_convex_matching is defined for convex base sets")
     n = len(a)
-    if n > limit:
-        raise TooLarge(f"{n} elements exceeds the exhaustive guard {limit}")
+    if n > CM_MAX_N:
+        raise TooLarge(f"{n} elements exceeds the exhaustive guard {CM_MAX_N}")
     best_size = -1
     best: tuple[tuple[int, int], ...] = ()
     for chosen in _convex_matchings(a):

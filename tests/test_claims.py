@@ -180,39 +180,20 @@ def test_membership_check_agrees_with_difference_set(n):
 
 
 def test_claims3_exhaustive_frozen():
-    r = cd.verify_claims_3(4)
-    assert r.passed
-    assert r.counts == {
-        "subsets_checked": 16,
-        "matchings_checked": 10,
-        "subsets_truncated": 0,
-    }
-    r5 = cd.verify_claims_3(5)
-    assert r5.passed
-    assert r5.counts == {
-        "subsets_checked": 121,
-        "matchings_checked": 26,
-        "subsets_truncated": 0,
-    }
+    reports = {n: cd.verify_claims_3(n) for n in range(2, 9)}
+    assert all(r.passed for r in reports.values())
+    assert reports[4].counts == {"subsets_checked": 16, "matchings_checked": 10}
+    assert reports[5].counts == {"subsets_checked": 121, "matchings_checked": 26}
+    # Every convex subset of the positive differences, at every n the harness takes.
+    checked = {n: r.counts["subsets_checked"] for n, r in reports.items()}
+    assert checked == {2: 0, 3: 1, 4: 16, 5: 121, 6: 645, 7: 2856, 8: 11341}
 
 
 def test_claims3_sampled():
-    r = cd.verify_claims_3(6, sample_cap=500)
-    assert r.passed
-    assert r.counts["subsets_checked"] == 500
-    assert r.counts["subsets_truncated"] == 1
-    assert r.params == {"n": 6, "exhaustive": False, "sample_cap": 500}
-    # The default cap does not cut n = 6 short, so that run is exhaustive.
     full = cd.verify_claims_3(6)
-    assert full.passed and full.counts["subsets_truncated"] == 0
-    assert full.params == {"n": 6, "exhaustive": True, "sample_cap": 20000}
-    # n = 6 has exactly 645 convex subsets: a cap of 645 cuts nothing, 644 one.
-    at = cd.verify_claims_3(6, sample_cap=645)
-    assert at.counts["subsets_checked"] == 645 and at.counts["subsets_truncated"] == 0
-    assert at.params["exhaustive"] is True
-    below = cd.verify_claims_3(6, sample_cap=644)
-    assert below.counts["subsets_checked"] == 644 and below.counts["subsets_truncated"] == 1
-    assert below.params["exhaustive"] is False
+    assert full.passed
+    assert full.counts == {"subsets_checked": 645, "matchings_checked": 69}
+    assert full.to_json()["params"] == {"n": 6}
 
 
 def test_claims3_param_gate():
@@ -220,10 +201,6 @@ def test_claims3_param_gate():
         cd.verify_claims_3(1)
     with pytest.raises(InvalidParams):
         cd.verify_claims_3(9)
-    # A cap below 1 would check nothing and still pass.
-    for n, cap in ((6, 0), (6, -5), (4, 0)):
-        with pytest.raises(InvalidParams):
-            cd.verify_claims_3(n, sample_cap=cap)
 
 
 def test_claims3_size_bound_holds_by_hand():
@@ -279,9 +256,37 @@ def test_growth_table_skips_infeasible():
     rows = cd.growth_table("thm1_S_size", [250, 400])
     assert rows[0] == ("thm1_S_size", 250, "skipped", False)
     assert rows[1][2] == 396
-    big = cd.growth_table("no4ap_max", [10, 500])
-    assert big[0] == ("no4ap_max", 10, 6, True)
-    assert big[1] == ("no4ap_max", 500, "skipped", False)
+    big = cd.growth_table("no4ap_max", [10, 500, cd.oracles.NO4AP_MAX_N + 1])
+    assert big == [
+        ("no4ap_max", 10, 6, True),
+        ("no4ap_max", 500, 44, True),
+        ("no4ap_max", 2001, "skipped", False),
+    ]
+
+
+def test_growth_table_thm3_cm_guard_precedes_the_build(monkeypatch):
+    real = claims.thm3_set
+
+    def small_only(n):
+        if n > 12:
+            raise AssertionError(f"thm3_set({n}) built past the matching guard")
+        return real(n)
+
+    monkeypatch.setattr(claims, "thm3_set", small_only)
+    assert cd.oracles.CM_MAX_N == 12
+    assert cd.growth_table("thm3_cm", [12, 13, 10**6]) == [
+        ("thm3_cm", 12, 6, True),
+        ("thm3_cm", 13, "skipped", False),
+        ("thm3_cm", 10**6, "skipped", False),
+    ]
+
+
+def test_growth_table_broken_construction_raises(monkeypatch):
+    # Only the oracles' guards and out-of-range parameters make a skipped row;
+    # a construction that is not convex is an error.
+    monkeypatch.setattr(claims, "thm3_set", lambda n: RealSet(range(n)))
+    with pytest.raises(InvalidInput):
+        cd.growth_table("thm3_cm", [4])
 
 
 def test_growth_table_family_gate():
@@ -291,12 +296,13 @@ def test_growth_table_family_gate():
 
 def test_growth_csv_exact_text(tmp_path):
     out = tmp_path / "growth.csv"
-    cd.growth_csv(cd.growth_table("no4ap_max", [4, 10, 500]), str(out))
+    cd.growth_csv(cd.growth_table("no4ap_max", [4, 10, 500, 2001]), str(out))
     assert out.read_text().splitlines() == [
         "family,n,value,exhaustive",
         "no4ap_max,4,3,true",
         "no4ap_max,10,6,true",
-        "no4ap_max,500,skipped,false",
+        "no4ap_max,500,44,true",
+        "no4ap_max,2001,skipped,false",
     ]
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import argparse
 import json
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 import convexdiff as cd
 from convexdiff import Matching, RealSet, Report
-from convexdiff.cli import _emit_set, main
+from convexdiff.cli import _KIND_FLAGS, _emit_set, build_parser, main
 
 
 def _write_set(path, values):
@@ -127,11 +128,11 @@ def test_oracle_no4ap_table_guard_exits_2_before_allocating(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["verify", "claim21", "--n", "1000", "--sample-cap", "5"], "--sample-cap"),
+        (["oracle", "cm", "--in", "{set}", "--n", "0"], "--n"),
         (["construct", "squares", "--n", "5", "--strict", "--seed", "9"], "--strict"),
         (["construct", "thm3", "--n", "5", "--seed", "0"], "--seed"),
-        (["oracle", "lcs", "--in", "{set}", "--limit", "3", "--n", "7"], "--n"),
-        (["oracle", "lcs", "--in", "{set}", "--limit", "0"], "--limit"),
+        (["oracle", "lcs", "--in", "{set}", "--n", "7"], "--n"),
+        (["construct", "random", "--n", "5", "--strict"], "--strict"),
         (["oracle", "no4ap", "--n", "4", "--in", "{set}"], "--in"),
     ],
 )
@@ -147,21 +148,31 @@ def test_flag_the_kind_ignores_exits_2(argv, flag, tmp_path, capsys):
     assert not out_path.exists()
 
 
+# Optional flags that every kind of the command reads.
+_ALL_KINDS_FLAGS = {("construct", "n"), ("construct", "out"), ("verify", "n")}
+
+
+def test_kind_flag_table_matches_the_parser():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for command in ("construct", "oracle", "verify"):
+        dests = {
+            a.dest for a in subparsers.choices[command]._actions
+            if a.option_strings and a.dest != "help"
+        }
+        listed = {d for c, d in _KIND_FLAGS if c == command}
+        assert listed <= dests, f"{command}: table names flags the parser lacks"
+        assert dests - listed == {d for c, d in _ALL_KINDS_FLAGS if c == command}
+    assert {c for c, _ in _KIND_FLAGS} <= {"construct", "oracle", "verify"}
+
+
 def test_oracle_cm_guard_and_override(tmp_path, capsys):
-    inp = _write_set(tmp_path / "a.json", list(cd.gen_convex_random(13, 0)))
+    limit = cd.oracles.CM_MAX_N
+    inp = _write_set(tmp_path / "a.json", list(cd.gen_convex_random(limit + 1, 0)))
     assert main(["oracle", "cm", "--in", inp]) == 2
-    capsys.readouterr()
-    assert main(["oracle", "cm", "--in", inp, "--limit", "13"]) == 0
-    assert json.loads(capsys.readouterr().out)["exhaustive"] is True
-
-
-def test_oracle_cm_negative_limit_exits_2(tmp_path, capsys):
-    inp = _write_set(tmp_path / "a.json", [1, 2, 4])
-    assert main(["oracle", "cm", "--in", inp, "--limit", "-1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "limit must be >= 0" in err
-    assert main(["oracle", "cm", "--in", inp, "--limit", "3"]) == 0
-    capsys.readouterr()
+    assert out == "" and f"{limit + 1} elements exceeds the exhaustive guard {limit}" in err
 
 
 def test_verify_claim22_passes(capsys):
@@ -178,12 +189,6 @@ def test_verify_all_kinds_pass(capsys):
     assert main(["verify", "thm1size", "--n", "400"]) == 0
     assert main(["verify", "claims3", "--n", "4"]) == 0
     capsys.readouterr()
-
-
-def test_verify_claims3_sample_cap(capsys):
-    assert main(["verify", "claims3", "--n", "6", "--sample-cap", "300"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["subsets_checked"] == 300
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
@@ -209,7 +214,7 @@ def test_verify_invalid_n_exits_2(capsys):
 def test_bench_growth_csv(tmp_path):
     out = tmp_path / "g.csv"
     rc = main([
-        "bench", "growth", "--family", "no4ap_max", "--n-list", "4,10,500",
+        "bench", "growth", "--family", "no4ap_max", "--n-list", "4,10,500,2001",
         "--csv", str(out),
     ])
     assert rc == 0
@@ -217,8 +222,20 @@ def test_bench_growth_csv(tmp_path):
         "family,n,value,exhaustive",
         "no4ap_max,4,3,true",
         "no4ap_max,10,6,true",
-        "no4ap_max,500,skipped,false",
+        "no4ap_max,500,44,true",
+        "no4ap_max,2001,skipped,false",
     ]
+
+
+def test_bench_growth_broken_construction_exits_2(tmp_path, monkeypatch, capsys):
+    # An arithmetic progression is not convex: max_convex_matching rejects it
+    # as bad input, and that must not turn into a skipped row.
+    monkeypatch.setattr(cd.claims, "thm3_set", lambda n: RealSet(range(n)))
+    out = tmp_path / "g.csv"
+    rc = main(["bench", "growth", "--family", "thm3_cm", "--n-list", "4", "--csv", str(out)])
+    assert rc == 2
+    assert "convex" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_bad_n_list(tmp_path, capsys):
@@ -243,6 +260,13 @@ def test_bad_usage_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc2:
         main(["construct", "thm5", "--n", "3", "--out", str(tmp_path / "o.json")])
     assert exc2.value.code == 2
+    # The searches have fixed guards: no flag lifts or lowers them.
+    inp = _write_set(tmp_path / "a.json", [1, 2, 4])
+    for argv in (["oracle", "cm", "--in", inp, "--limit", "13"],
+                 ["verify", "claims3", "--n", "6", "--sample-cap", "300"]):
+        with pytest.raises(SystemExit) as exc3:
+            main(argv)
+        assert exc3.value.code == 2
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -309,13 +333,6 @@ def test_values_at_the_digit_limit_round_trip(tmp_path, capsys, digit_limit):
     assert main(["oracle", "lcs", "--in", str(path)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["value"] == 3 and RealSet.from_json(result["witness"]) == s
-
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_verify_claims3_bad_sample_cap_exits_2(cap, capsys):
-    assert main(["verify", "claims3", "--n", "6", "--sample-cap", cap]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "sample_cap" in err
 
 
 def _reference_set_text(s):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import convexdiff as cd
 from convexdiff import (
@@ -307,6 +309,30 @@ def test_thm3_block_of_round_trip():
                 x = a[j + k - 1] - a[j - 1]
                 assert cd.thm3_block_of(n, x) == (k, j)
                 assert cd.thm3_block_of(n, x + 1) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    digit=st.integers(0, 12),
+    step=st.integers(-2, 2),
+    frac=st.builds(F, st.integers(-10**6, 10**6), st.integers(2, 50)).filter(
+        lambda q: q.denominator != 1
+    ),
+)
+def test_thm3_block_of_decodes_exactly_the_differences(n, digit, step, frac):
+    a = cd.thm3_set(n).ints
+    pos = {a[j + k - 1] - a[j - 1]: (k, j) for j in range(1, n) for k in range(1, n - j + 1)}
+    nudge = step * (2 * n) ** min(digit, n)  # moves one base-2n digit of x
+    for x, kj in pos.items():
+        assert cd.thm3_block_of(n, x) == kj
+        for y in [*range(x - 3, x + 4), x + nudge]:
+            assert cd.thm3_block_of(n, y) == pos.get(y)
+        assert cd.thm3_block_of(n, -x) is None
+        assert cd.thm3_block_of(n, x + frac) is None
+        assert cd.thm3_block_of(n, F(x, x + 1)) is None  # numerator x, not an integer
+    assert cd.thm3_block_of(n, 0) is None
+    assert cd.thm3_block_of(n, frac) is None
 
 
 def test_thm4_matching_example():
