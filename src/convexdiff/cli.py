@@ -8,6 +8,7 @@ failed, 2 invalid input or parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import textwrap
@@ -86,7 +87,10 @@ def _read_realset(path: str) -> RealSet:
     return RealSet.from_json(payload)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built once per process: every call returns the same
+    parser, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="convexdiff",
         description="Convex subsets of difference sets: constructions, "
@@ -95,11 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a construction as RealSet JSON")
-    p.add_argument("kind", choices=["thm1", "thm3", "squares", "random"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--strict", action="store_true", help="thm1: enforce n % 100 == 0, n >= 1000")
-    p.add_argument("--seed", type=int, help="random: RNG seed (default 0)")
-    p.add_argument("--out", required=True)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("thm1", "thm3", "squares", "random"):
+        p = kinds.add_parser(kind)
+        p.add_argument("--n", type=int, required=True)
+        if kind == "thm1":
+            p.add_argument("--strict", action="store_true", help="enforce n % 100 == 0, n >= 1000")
+        if kind == "random":
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--out", required=True)
 
     p = sub.add_parser("glue", help="glue the difference blocks into one convex set")
     p.add_argument("--n", type=int, required=True)
@@ -113,9 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("oracle", help="run an exact oracle, result JSON on stdout")
-    p.add_argument("kind", choices=["lcs", "cm", "no4ap"])
-    p.add_argument("--in", dest="inp", help="input RealSet JSON (lcs, cm)")
-    p.add_argument("--n", type=int, help="ground-set size (no4ap)")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("lcs", "cm"):
+        p = kinds.add_parser(kind)
+        p.add_argument("--in", dest="inp", required=True, help="input RealSet JSON")
+    kinds.add_parser("no4ap").add_argument("--n", type=int, required=True, help="ground-set size")
 
     p = sub.add_parser("verify", help="check a claim, report JSON on stdout")
     p.add_argument("kind", choices=["claim21", "claim22", "thm1size", "claims3"])
@@ -137,7 +147,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "squares":
         s = constructions.squares_set(args.n)
     else:
-        s = gen_convex_random(args.n, 0 if args.seed is None else args.seed)
+        s = gen_convex_random(args.n, args.seed)
     _emit_set(s, args.out)
     _log(f"construct {args.kind}: wrote {len(s)} elements to {args.out}")
     return 0
@@ -167,12 +177,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.kind == "no4ap":
-        if args.n is None:
-            raise InvalidParams("oracle no4ap requires --n")
         res = oracles.max_weakly_convex_no4ap(args.n)
     else:
-        if args.inp is None:
-            raise InvalidParams(f"oracle {args.kind} requires --in")
         base = _read_realset(args.inp)
         if args.kind == "lcs":
             res = oracles.lcs_convex(base)
@@ -212,27 +218,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-# Flags that only some kinds read: (command, dest) -> (flag, kinds reading it).
-_KIND_FLAGS = {
-    ("construct", "strict"): ("--strict", ("thm1",)),
-    ("construct", "seed"): ("--seed", ("random",)),
-    ("oracle", "inp"): ("--in", ("lcs", "cm")),
-    ("oracle", "n"): ("--n", ("no4ap",)),
-}
-
-
-def _reject_ignored_flags(args: argparse.Namespace) -> None:
-    """A flag the chosen kind would ignore is an error, not a silent no-op."""
-    for (command, dest), (flag, kinds) in _KIND_FLAGS.items():
-        if command != args.command or args.kind in kinds:
-            continue
-        value = getattr(args, dest)
-        if value is not None and value is not False:  # --seed 0 counts as given
-            raise InvalidParams(
-                f"{flag} does not apply to {command} {args.kind} (only {'|'.join(kinds)})"
-            )
-
-
 _HANDLERS = {
     "construct": _cmd_construct,
     "glue": _cmd_glue,
@@ -244,15 +229,10 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _reject_ignored_flags(args)
         return _HANDLERS[args.command](args)
-    except ConvexDiffError as exc:
-        _log(f"error: {exc}")
-        return 2
-    except OSError as exc:
+    except (ConvexDiffError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
 

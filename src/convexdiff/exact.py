@@ -160,8 +160,8 @@ class RealSet:
 
     @classmethod
     def from_json(cls, obj: object) -> "RealSet":
-        if not isinstance(obj, dict) or "elements" not in obj:
-            raise InvalidInput("set payload must be an object with an elements list")
+        if not isinstance(obj, dict) or set(obj) != {"elements"}:
+            raise InvalidInput("set payload must be an object whose only key is elements")
         items = obj["elements"]
         if not isinstance(items, list):
             raise InvalidInput("elements must be a list")

@@ -2,15 +2,21 @@
 
 import argparse
 import json
+import os
+import shlex
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import convexdiff as cd
 from convexdiff import Matching, RealSet, Report
-from convexdiff.cli import _KIND_FLAGS, _emit_set, build_parser, main
+from convexdiff.cli import _emit_set, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_set(path, values):
@@ -99,10 +105,13 @@ def test_oracle_lcs_stdout(tmp_path, capsys):
     assert [e["num"] for e in payload["witness"]["elements"]] == ["1", "2", "5"]
 
 
-def test_oracle_requires_matching_input_flag(tmp_path, capsys):
-    assert main(["oracle", "lcs"]) == 2
-    assert main(["oracle", "no4ap"]) == 2
-    capsys.readouterr()
+def test_oracle_requires_matching_input_flag(capsys):
+    for kind, flag in (("lcs", "--in"), ("cm", "--in"), ("no4ap", "--n")):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", kind])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"required: {flag}" in err
 
 
 def test_oracle_no4ap(capsys):
@@ -142,29 +151,39 @@ def test_flag_the_kind_ignores_exits_2(argv, flag, tmp_path, capsys):
     argv = [a.replace("{set}", inp) for a in argv]
     if argv[0] == "construct":
         argv += ["--out", str(out_path)]
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and flag in err
+    assert out == "" and f"unrecognized arguments: {flag}" in err
     assert not out_path.exists()
 
 
-# Optional flags that every kind of the command reads.
-_ALL_KINDS_FLAGS = {("construct", "n"), ("construct", "out"), ("verify", "n")}
+# The dests of each kind's flags; all are required but --strict and --seed.
+_KIND_DESTS = {
+    ("construct", "thm1"): {"n", "out", "strict"},
+    ("construct", "thm3"): {"n", "out"},
+    ("construct", "squares"): {"n", "out"},
+    ("construct", "random"): {"n", "out", "seed"},
+    ("oracle", "lcs"): {"inp"},
+    ("oracle", "cm"): {"inp"},
+    ("oracle", "no4ap"): {"n"},
+}
 
 
-def test_kind_flag_table_matches_the_parser():
-    subparsers = next(
-        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    for command in ("construct", "oracle", "verify"):
-        dests = {
-            a.dest for a in subparsers.choices[command]._actions
-            if a.option_strings and a.dest != "help"
-        }
-        listed = {d for c, d in _KIND_FLAGS if c == command}
-        assert listed <= dests, f"{command}: table names flags the parser lacks"
-        assert dests - listed == {d for c, d in _ALL_KINDS_FLAGS if c == command}
-    assert {c for c, _ in _KIND_FLAGS} <= {"construct", "oracle", "verify"}
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_kind_takes_exactly_its_flags():
+    commands = _subparsers(build_parser())
+    kinds = {(c, k): p for c in ("construct", "oracle") for k, p in _subparsers(commands[c]).items()}
+    assert kinds.keys() == _KIND_DESTS.keys()
+    for key, parser in kinds.items():
+        flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        assert {a.dest for a in flags} == _KIND_DESTS[key], key
+        required = {a.dest for a in flags if a.required}
+        assert required == _KIND_DESTS[key] - {"strict", "seed"}, key
 
 
 def test_oracle_cm_guard_and_override(tmp_path, capsys):
@@ -263,10 +282,41 @@ def test_bad_usage_exits_2(tmp_path):
     # The searches have fixed guards: no flag lifts or lowers them.
     inp = _write_set(tmp_path / "a.json", [1, 2, 4])
     for argv in (["oracle", "cm", "--in", inp, "--limit", "13"],
-                 ["verify", "claims3", "--n", "6", "--sample-cap", "300"]):
+                 ["verify", "claims3", "--n", "6", "--sample-cap", "300"],
+                 # Flags follow the kind.
+                 ["construct", "--n", "3", "thm3", "--out", str(tmp_path / "o.json")],
+                 ["oracle", "--in", inp, "lcs"]):
         with pytest.raises(SystemExit) as exc3:
             main(argv)
         assert exc3.value.code == 2
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "convexdiff.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_process_exit_codes(tmp_path):
+    inp = _write_set(tmp_path / "b.json", [1, 2, 3, 5])
+    ok = _run_cli("oracle", "lcs", "--in", inp)
+    assert ok.returncode == 0 and json.loads(ok.stdout)["value"] == 3
+    for argv, message in (
+        (["oracle", "lcs", "--in", inp, "--n", "7"], "unrecognized arguments: --n 7"),  # argparse
+        (["verify", "claim21", "--n", "120"], "error:"),  # ConvexDiffError
+    ):
+        bad = _run_cli(*argv)
+        assert (bad.returncode, bad.stdout) == (2, "") and message in bad.stderr
+
+
+def test_readme_examples_parse():
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("Examples:\n\n```sh\n")[1]
+    lines = [shlex.split(line, comments=True) for line in block.split("```")[0].splitlines()]
+    assert len(lines) >= 7
+    for words in lines:
+        assert words[0] == "convexdiff"
+        build_parser().parse_args(words[1:])
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -356,6 +406,7 @@ def test_emit_set_matches_reference_encoder(values, tmp_path):
         (["construct", "thm1", "--n", "300"], lambda: cd.thm1_set(300)),
         (["construct", "squares", "--n", "50"], lambda: cd.squares_set(50)),
         (["construct", "random", "--n", "40", "--seed", "3"], lambda: cd.gen_convex_random(40, 3)),
+        (["construct", "random", "--n", "40"], lambda: cd.gen_convex_random(40, 0)),
         (["glue", "--n", "1000"], lambda: cd.glue_chain(1000)[0]),
     ],
 )

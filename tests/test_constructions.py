@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,26 @@ def test_glue_chain_runs_where_claim21_passes():
         assert cd.verify_claim_2_1(n).passed
         s, _ = cd.glue_chain(n)  # must not raise NoSplice
         assert cd.is_convex(s)
+
+
+def test_lenient_glue_chain_every_n_below_400():
+    # Every n in [100, 400) whose offset window holds an integer.
+    ns = []
+    for n in range(100, 400):
+        try:
+            p = Thm1Params.for_n(n)
+        except InvalidParams:
+            continue
+        ns.append(n)
+        s, trace = cd.glue_chain(n)
+        assert cd.is_convex(s), n
+        # x = t / s.den equals a_j - a_i = d / a.den exactly when t * a.den == d * s.den.
+        a = cd.thm1_set(n)
+        diffs = {(hi - lo) * s.den for lo, hi in combinations(a.ints, 2)}
+        assert all(t * a.den in diffs for t in s.ints), n
+        assert len(trace.splices) == p.k_max - p.k_min, n
+        assert cd.verify_thm1_size(n).passed, n
+    assert len(ns) == 69
 
 
 def _reference_glue_chain(n, strict):

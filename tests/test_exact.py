@@ -89,6 +89,15 @@ def test_realset_json_round_trip():
         RealSet.from_json([1, 2])
 
 
+def test_realset_from_json_rejects_extra_keys():
+    # A stray key is more likely a writer's mistake than a comment: "den" here
+    # probably meant every element over 7.
+    with pytest.raises(InvalidInput):
+        RealSet.from_json({"elements": [{"num": "1", "den": "1"}], "den": "7"})
+    with pytest.raises(InvalidInput):
+        RealSet.from_json({"elements": [], "note": None})
+
+
 def test_matching_validation():
     m = Matching(4, ((1, 3), (2, 4)))
     assert len(m) == 2
