@@ -1,8 +1,9 @@
 """Mechanized verification of the counting claims behind the constructions.
 
-The block-interleaving and interval-count claims are checked with exact
+The block-interleaving, interval-count and size claims are checked with exact
 integer arithmetic on values scaled by n^5 (one common denominator for the
-whole cubic family, so every comparison is an int comparison). The digit-set
+whole cubic family, so every comparison is an int comparison). Those values
+come from the one closed form that constructions.Thm1Params owns. The digit-set
 claims are checked structurally: block membership is re-derived purely by
 digit decoding, never by remembering where a value came from, so a decoding
 bug cannot confirm itself. Growth tables back the quantitative conclusions.
@@ -19,9 +20,6 @@ from typing import Optional, Sequence
 
 from .constructions import (
     Thm1Params,
-    _glue_scaled,
-    _scaled_block_values,
-    _scaled_gap,
     glue_chain,
     squares_set,
     thm3_block_of,
@@ -82,9 +80,9 @@ def verify_claim_2_1(n: int) -> Report:
     p = Thm1Params.for_n(n)
     counts: dict[str, int] = {}
     counterexample = None
-    cur = _scaled_block_values(n, p.k_min, p.i_max)
+    cur = p.block(p.k_min)
     for k in range(p.k_min, p.k_max):
-        nxt = _scaled_block_values(n, k + 1, p.i_max)
+        nxt = p.block(k + 1)
         hit = None
         for i_idx in range(p.i_max - 1):
             j0 = bisect_left(cur, nxt[i_idx])
@@ -118,9 +116,9 @@ def verify_claim_2_2(n: int) -> Report:
     counts: dict[str, int] = {"bound": bound}
     counterexample = None
     for k in range(p.k_min, p.k_max + 1):
-        dk = _scaled_block_values(n, k, p.i_max)
-        lo = _scaled_gap(n, k - 1, p.i_max)  # d_max^(k-1)
-        hi = _scaled_gap(n, k + 1, 1)  # d_min^(k+1)
+        dk = p.block(k)
+        lo = p.gap(k - 1, p.i_max)  # d_max^(k-1)
+        hi = p.gap(k + 1, 1)  # d_min^(k+1)
         cnt = bisect_left(dk, hi) - bisect_right(dk, lo)
         counts[f"count_at_k{k}"] = cnt
         if counterexample is None and cnt < bound:
@@ -137,18 +135,18 @@ def verify_claim_2_2(n: int) -> Report:
 def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
     """Scaled values that are not differences a_{i+k} - a_i, up to `limit` many.
 
-    Works purely from the closed form d_i^(k) = 3k i^2 + (150n^3 k + 3k^2) i
-    + (k n^5 + 75n^3 k^2 + k^3): the candidate offsets [k_lo, k_hi] are found
-    by bisecting the monotone block extrema, then each candidate's quadratic
-    in i is solved exactly and the root confirmed by evaluating the closed
-    form at it. The coefficients depend on k alone and are computed once per
-    candidate offset. Independent of how the values were assembled.
+    Works purely from the closed form d_i^(k) = const + (lin + quad*i)*i of
+    Thm1Params.coeffs(k): the candidate offsets [k_lo, k_hi] are found by
+    bisecting the monotone block extrema, then each candidate's quadratic in
+    i is solved exactly and the root confirmed by evaluating the closed form
+    at it. The coefficients depend on k alone and are read once per candidate
+    offset. Independent of how the values were assembled.
     """
-    n5, n3 = n**5, n**3
-    block_max = [_scaled_gap(n, k, n - k) for k in range(1, n)]
-    block_min = [_scaled_gap(n, k, 1) for k in range(1, n)]
-    # k -> (lin, const, lin^2 - 12k*const): the discriminant is that + 12k*v.
-    coeffs: dict[int, tuple[int, int, int]] = {}
+    p = Thm1Params.for_n(n)
+    block_max = [p.gap(k, n - k) for k in range(1, n)]
+    block_min = [p.gap(k, 1) for k in range(1, n)]
+    # k -> (const, lin, quad, lin^2 - 4quad*const): the discriminant is that + 4quad*v.
+    coeffs: dict[int, tuple[int, int, int, int]] = {}
     bad: list[int] = []
     for x in values:
         v = abs(x)
@@ -159,18 +157,17 @@ def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
         for k in range(k_lo, k_hi + 1):
             c = coeffs.get(k)
             if c is None:
-                lin = 150 * n3 * k + 3 * k * k
-                const = k * n5 + 75 * n3 * k * k + k**3
-                c = coeffs[k] = (lin, const, lin * lin - 12 * k * const)
-            lin, const, disc0 = c
-            disc = disc0 + 12 * k * v
+                const, lin, quad = p.coeffs(k)
+                c = coeffs[k] = (const, lin, quad, lin * lin - 4 * quad * const)
+            const, lin, quad, disc0 = c
+            disc = disc0 + 4 * quad * v
             if disc < 0:
                 continue
             root = math.isqrt(disc)
             if root * root != disc:
                 continue
-            i, rem = divmod(root - lin, 6 * k)
-            if rem == 0 and 1 <= i <= n - k and const + (lin + 3 * k * i) * i == v:
+            i, rem = divmod(root - lin, 2 * quad)
+            if rem == 0 and 1 <= i <= n - k and const + (lin + quad * i) * i == v:
                 break
         else:
             bad.append(x)
@@ -182,13 +179,14 @@ def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
 def verify_thm1_size(n: int) -> Report:
     """Run the glue chain and re-verify convexity, membership, and the size bound.
 
-    The glued set is checked on its ints over n^5, as the glue chain makes
-    them: strictly increasing and convex, every element a difference by the
-    closed form. The size must reach both the per-block count times the
-    number of interior blocks and the quadratic floor n^2/4000.
+    The set glue_chain returns is checked on its ints over n^5: convex, and
+    every element a difference by the closed form. The size must reach both
+    the per-block count times the number of interior blocks and the
+    quadratic floor n^2/4000.
     """
     p = Thm1Params.for_n(n)
-    ints, trace = _glue_scaled(n, False)
+    s, trace = glue_chain(n)
+    ints = s.over(n**5)
     per_block = _ceil_div(151 * n, 540)
     interior = max(p.k_max - p.k_min - 1, 0)
     required = max(per_block * interior, _ceil_div(n * n, 4000))
@@ -201,9 +199,7 @@ def verify_thm1_size(n: int) -> Report:
         "members_verified": 0,
     }
     counterexample = None
-    # A positive first gap and increasing gaps make every gap positive.
-    increasing = len(ints) < 2 or ints[1] > ints[0]
-    if not (increasing and gaps_increase(ints)):
+    if not gaps_increase(ints):
         counterexample = {"reason": "glued set is not convex"}
     else:
         bad = _non_differences(n, ints, limit=3)

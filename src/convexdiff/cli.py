@@ -23,47 +23,48 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(chunks: Sequence[str], out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    _write(json.dumps(payload, indent=2) + "\n", out)
+    _write((json.dumps(payload, indent=2), "\n"), out)
 
 
 # One element of a RealSet as json.dumps(..., indent=2) lays it out at the top level.
 _SET_ITEM = '    {\n      "num": "%d",\n      "den": "%d"\n    }'
 
 
-def _set_text(s: RealSet, pad: str = "") -> str:
-    """json.dumps(s.to_json(), indent=2) as it reads nested under `pad`.
+def _set_chunks(s: RealSet, pad: str = "") -> list[str]:
+    """json.dumps(s.to_json(), indent=2) as it reads nested under `pad`, in
+    pieces (head, items, tail) so that the large middle is never copied.
 
     json.dumps uses its C encoder only without indent, and the pure-Python
     one is most of the cost of a large set. The elements hold only digits
     and "-", so nothing needs escaping.
     """
     if len(s) == 0:
-        return f'{{\n{pad}  "elements": []\n{pad}}}'
+        return [f'{{\n{pad}  "elements": []\n{pad}}}']
     item = textwrap.indent(_SET_ITEM, pad)
     try:
         items = ",\n".join(item % pair for pair in s.reduced())
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
         raise TooLarge(f"set element too long to write in decimal: {exc}") from exc
-    return f'{{\n{pad}  "elements": [\n{items}\n{pad}  ]\n{pad}}}'
+    return [f'{{\n{pad}  "elements": [\n', items, f"\n{pad}  ]\n{pad}}}"]
 
 
 def _emit_set(s: RealSet, out: Optional[str]) -> None:
     """Write s exactly as _emit(s.to_json(), out) would. No file is opened
     before the text is built."""
-    _write(_set_text(s) + "\n", out)
+    _write(_set_chunks(s) + ["\n"], out)
 
 
 def _emit_oracle(res: oracles.OracleResult) -> None:
-    """Print res exactly as _emit(res.to_json(), None) would, a RealSet witness by _set_text."""
+    """Print res exactly as _emit(res.to_json(), None) would, a RealSet witness by _set_chunks."""
     if not isinstance(res.witness, RealSet):
         _emit(res.to_json(), None)
         return
@@ -71,7 +72,7 @@ def _emit_oracle(res: oracles.OracleResult) -> None:
         json.dumps(res.value),
         json.dumps(res.exhaustive),
     )
-    _write(head + _set_text(res.witness, "  ") + "\n}\n", None)
+    _write([head, *_set_chunks(res.witness, "  "), "\n}\n"], None)
 
 
 def _read_realset(path: str) -> RealSet:

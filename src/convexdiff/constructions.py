@@ -2,7 +2,9 @@
 
 The cubic family a_i = i + c1*i^2 + c2*i^3 (c1 = 75/n^2, c2 = 1/n^5) is handled
 internally as integers scaled by n^5, so every value, block difference, and
-comparison is exact. Blocks D_k = {a_{i+k} - a_i} for k in [ceil(0.009n),
+comparison is exact. Thm1Params owns the scaled closed form of the block
+differences d_i^(k) = a_{i+k} - a_i; the glue and the claim checks read it
+from there. Blocks D_k = {a_{i+k} - a_i} for k in [ceil(0.009n),
 floor(0.01n)] are glued left to right through interleaving splices: whenever
 b_i <= a_j < a_{j+1} <= b_{i+1}, the set {a_1..a_j, b_{i+1}..b_m} is convex.
 
@@ -23,7 +25,6 @@ from typing import Optional, Sequence
 
 from .errors import InsufficientN, InvalidInput, InvalidParams, NoSplice
 from .exact import (
-    DifferenceBlock,
     ExactScalar,
     Matching,
     RealSet,
@@ -38,8 +39,6 @@ class Thm1Params:
     """Resolved parameters of the cubic construction at a given n."""
 
     n: int
-    c1: Fraction
-    c2: Fraction
     k_min: int
     k_max: int
     i_max: int
@@ -70,23 +69,22 @@ class Thm1Params:
                 f"[{Fraction(9 * n, 1000)}, {Fraction(n, 100)}] for n={n}"
             )
         assert i_max + k_max <= n
-        return cls(
-            n=n,
-            c1=Fraction(75, n * n),
-            c2=Fraction(1, n**5),
-            k_min=k_min,
-            k_max=k_max,
-            i_max=i_max,
-        )
+        return cls(n=n, k_min=k_min, k_max=k_max, i_max=i_max)
 
+    def coeffs(self, k: int) -> tuple[int, int, int]:
+        """(const, lin, quad) with d_i^(k) * n^5 = const + (lin + quad*i)*i."""
+        n3 = self.n**3
+        return k * self.n**5 + 75 * n3 * k * k + k**3, 150 * n3 * k + 3 * k * k, 3 * k
 
-def _scaled_gap(n: int, k: int, i: int) -> int:
-    """d_i^(k) = a_{i+k} - a_i scaled by n^5."""
-    return (
-        k * n**5
-        + 75 * n**3 * (2 * k * i + k * k)
-        + (3 * i * i * k + 3 * i * k * k + k**3)
-    )
+    def gap(self, k: int, i: int) -> int:
+        """d_i^(k) = a_{i+k} - a_i scaled by n^5, for any k and i."""
+        const, lin, quad = self.coeffs(k)
+        return const + (lin + quad * i) * i
+
+    def block(self, k: int) -> list[int]:
+        """All d_i^(k) scaled by n^5 for i = 1..i_max."""
+        const, lin, quad = self.coeffs(k)
+        return [const + (lin + quad * i) * i for i in range(1, self.i_max + 1)]
 
 
 def _scaled_set_values(n: int) -> list[int]:
@@ -95,30 +93,20 @@ def _scaled_set_values(n: int) -> list[int]:
     return [((i + c) * i + n5) * i for i in range(1, n + 1)]
 
 
-def _scaled_block_values(n: int, k: int, i_max: int) -> list[int]:
-    """All d_i^(k) scaled by n^5 for i = 1..i_max, coefficients hoisted."""
-    n5, n3 = n**5, n**3
-    const = k * n5 + 75 * n3 * k * k + k**3
-    lin = 150 * n3 * k + 3 * k * k
-    quad = 3 * k
-    return [const + (lin + quad * i) * i for i in range(1, i_max + 1)]
-
-
 def thm1_set(n: int, strict: bool = False) -> RealSet:
     """The convex set {a_i = i + c1*i^2 + c2*i^3 : 1 <= i <= n}."""
     params = Thm1Params.for_n(n, strict)
     return RealSet(_scaled_set_values(params.n), den=n**5)
 
 
-def thm1_block(n: int, k: int, strict: bool = False) -> DifferenceBlock:
+def thm1_block(n: int, k: int, strict: bool = False) -> RealSet:
     """The difference block D_k = {a_{i+k} - a_i : 1 <= i <= floor(0.99n)}."""
     params = Thm1Params.for_n(n, strict)
     if not (params.k_min <= k <= params.k_max):
         raise InvalidParams(
             f"offset k={k} outside [{params.k_min}, {params.k_max}] for n={n}"
         )
-    values = RealSet(_scaled_block_values(n, k, params.i_max), den=n**5)
-    return DifferenceBlock(k=k, values=values)
+    return RealSet(params.block(k), den=n**5)
 
 
 @dataclass(frozen=True)
@@ -202,18 +190,6 @@ def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
     return RealSet(merged, den=den), ij
 
 
-def _glue_scaled(n: int, strict: bool) -> tuple[list[int], GlueTrace]:
-    """glue_chain on the ints scaled by n^5: the glued values and the trace."""
-    params = Thm1Params.for_n(n, strict)
-    running = _scaled_block_values(n, params.k_min, params.i_max)
-    records = []
-    for k in range(params.k_min + 1, params.k_max + 1):
-        block = _scaled_block_values(n, k, params.i_max)
-        running, (i, j) = _splice(running, block)
-        records.append(SpliceRecord(k=k, j=j, i=i))
-    return running, GlueTrace(tuple(records))
-
-
 def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     """Glue the blocks D_{k_min}, ..., D_{k_max} into one convex set.
 
@@ -223,8 +199,13 @@ def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     NoSplice from any step propagates; for valid n that would contradict the
     interleaving claim and is treated as a verification failure by callers.
     """
-    running, trace = _glue_scaled(n, strict)
-    return RealSet(running, den=n**5), trace
+    params = Thm1Params.for_n(n, strict)
+    running = params.block(params.k_min)
+    records = []
+    for k in range(params.k_min + 1, params.k_max + 1):
+        running, (i, j) = _splice(running, params.block(k))
+        records.append(SpliceRecord(k=k, j=j, i=i))
+    return RealSet(running, den=n**5), GlueTrace(tuple(records))
 
 
 def thm2_matching(a: RealSet) -> Matching:

@@ -63,6 +63,9 @@ def _scalar_pair(obj: object) -> tuple[int, int]:
     # isdigit() alone admits non-ASCII digits such as "²" or "١".
     if not (stripped.isascii() and stripped.isdigit() and den_s.isascii() and den_s.isdigit()):
         raise InvalidInput(f"malformed scalar strings: num={num_s!r} den={den_s!r}")
+    # Canonical: zero is "0", and no other number has a leading zero.
+    if num_s == "-0" or stripped[0] == "0" != stripped or den_s[0] == "0" != den_s:
+        raise InvalidInput(f"non-canonical scalar strings: num={num_s!r} den={den_s!r}")
     try:
         num, den = int(num_s), int(den_s)
     except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
@@ -220,14 +223,6 @@ class Matching:
         return cls(base_size, tuple((lo, hi) for lo, hi in pairs))
 
 
-@dataclass(frozen=True)
-class DifferenceBlock:
-    """Differences at a fixed index offset k: values a_{i+k} - a_i for i = 1, 2, ..."""
-
-    k: int
-    values: RealSet
-
-
 def gaps_increase(values: Sequence, strict: bool = True) -> bool:
     """True when the consecutive gaps of a sorted sequence increase.
 
@@ -268,24 +263,23 @@ def sum_set(a: RealSet) -> RealSet:
     return _pairwise(a, operator.add)
 
 
-def _check_base(a: RealSet, m: Matching) -> tuple[int, ...]:
+def _restricted(a: RealSet, m: Matching, op) -> RealSet:
     if m.base_size != len(a):
         raise InvalidMatching(
             f"matching base size {m.base_size} != set size {len(a)}"
         )
-    return a.ints
+    e = a.ints
+    return RealSet(sorted({op(e[hi - 1], e[lo - 1]) for lo, hi in m.pairs}), den=a.den)
 
 
 def restricted_difference_set(a: RealSet, m: Matching) -> RealSet:
     """Differences a_hi - a_lo over the matching's pairs (larger minus smaller)."""
-    e = _check_base(a, m)
-    return RealSet(sorted({e[hi - 1] - e[lo - 1] for lo, hi in m.pairs}), den=a.den)
+    return _restricted(a, m, operator.sub)
 
 
 def restricted_sum_set(a: RealSet, m: Matching) -> RealSet:
     """Sums a_lo + a_hi over the matching's pairs."""
-    e = _check_base(a, m)
-    return RealSet(sorted({e[lo - 1] + e[hi - 1] for lo, hi in m.pairs}), den=a.den)
+    return _restricted(a, m, operator.add)
 
 
 def count_representations(

@@ -27,8 +27,8 @@ def test_claim21_frozen_n1000():
     assert r.params == {"n": 1000, "k_min": 9, "k_max": 10}
     # re-check the recorded interleaving against the raw block values
     i, j = r.counts["i_at_k9"], r.counts["j_at_k9"]
-    cur = cd.thm1_block(1000, 9).values
-    nxt = cd.thm1_block(1000, 10).values
+    cur = cd.thm1_block(1000, 9)
+    nxt = cd.thm1_block(1000, 10)
     assert nxt[i - 1] <= cur[j - 1] < cur[j] <= nxt[i]
 
 
@@ -70,13 +70,13 @@ def test_claim22_counts_bounded_by_block_size():
 def test_claim22_count_matches_direct_interval():
     # independent recount of one block against closed-form neighbor extrema
     n = 1000
-    d9 = cd.thm1_block(n, 9).values
-    d10 = cd.thm1_block(n, 10).values
-    p = cd.Thm1Params.for_n(n, strict=False)
-    i_max = p.i_max
+    d9 = cd.thm1_block(n, 9)
+    d10 = cd.thm1_block(n, 10)
+    i_max = cd.Thm1Params.for_n(n, strict=False).i_max
+    c1, c2 = F(75, n * n), F(1, n**5)
 
     def gap(k, i):
-        return k + p.c1 * (2 * k * i + k * k) + p.c2 * (3 * i * i * k + 3 * i * k * k + k**3)
+        return k + c1 * (2 * k * i + k * k) + c2 * (3 * i * i * k + 3 * i * k * k + k**3)
 
     lo = gap(8, i_max)  # max of the k-1 block
     hi = d10[0]  # min of the k+1 block
@@ -104,9 +104,10 @@ def test_thm1_size_frozen():
 
 def _glue_with(monkeypatch, edit):
     """Make verify_thm1_size see the glued ints of n = 1000 changed by `edit`."""
-    ints, trace = claims._glue_scaled(1000, False)
-    edited = edit(list(ints))
-    monkeypatch.setattr(claims, "_glue_scaled", lambda n, strict: (edited, trace))
+    s, trace = cd.glue_chain(1000)
+    edited = edit(list(s.over(1000**5)))
+    glued = RealSet(edited, den=1000**5)
+    monkeypatch.setattr(claims, "glue_chain", lambda n: (glued, trace))
     return edited
 
 
@@ -126,16 +127,15 @@ def test_thm1_size_reports_non_member(monkeypatch):
     assert r.counts["members_verified"] == 1755
 
 
-def _swap_adjacent(ints):
-    ints[100], ints[101] = ints[101], ints[100]
+def _flatten_at_101(ints):
+    # Still increasing, but the two gaps around ints[101] become equal.
+    assert (ints[100] + ints[102]) % 2 == 0
+    ints[101] = (ints[100] + ints[102]) // 2
     return ints
 
 
-# Reversed, the gaps are negative but still increase: only the check that the
-# first gap is positive catches it.
-@pytest.mark.parametrize("edit", [_swap_adjacent, lambda ints: ints[::-1]])
-def test_thm1_size_reports_non_convex(monkeypatch, edit):
-    _glue_with(monkeypatch, edit)
+def test_thm1_size_reports_non_convex(monkeypatch):
+    _glue_with(monkeypatch, _flatten_at_101)
     r = cd.verify_thm1_size(1000)
     assert r.counterexample == {"reason": "glued set is not convex"}
     assert r.counts["members_verified"] == 0

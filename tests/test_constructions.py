@@ -21,8 +21,6 @@ from convexdiff import (
 
 def test_thm1_params_fields():
     p = Thm1Params.for_n(1000, strict=True)
-    assert p.c1 == F(75, 1000**2)
-    assert p.c2 == F(1, 1000**5)
     assert (p.k_min, p.k_max, p.i_max) == (9, 10, 990)
     assert p.i_max + p.k_max <= p.n
 
@@ -58,10 +56,10 @@ def test_thm1_set_convex_and_gap_identity():
     for n in (100, 300, 1000):
         a = cd.thm1_set(n)
         assert cd.is_convex(a)
-        p = Thm1Params.for_n(n, strict=False)
+        c1, c2 = F(75, n * n), F(1, n**5)
         for i in range(1, len(a)):
             gap = a[i] - a[i - 1]
-            assert gap == 1 + p.c1 * (2 * i + 1) + p.c2 * (3 * i * i + 3 * i + 1)
+            assert gap == 1 + c1 * (2 * i + 1) + c2 * (3 * i * i + 3 * i + 1)
 
 
 def test_thm1_set_strict_mode_gate():
@@ -72,29 +70,40 @@ def test_thm1_set_strict_mode_gate():
 
 def test_thm1_block_example():
     blk = cd.thm1_block(100, 1)
-    assert blk.values[0] == 1 + F(225, 10**4) + F(7, 10**10)
-    assert blk.k == 1
-    assert len(blk.values) == 99
+    assert blk[0] == 1 + F(225, 10**4) + F(7, 10**10)
+    assert len(blk) == 99
 
 
 def test_thm1_block_matches_set_differences():
     for n, k in ((100, 1), (300, 3), (1000, 9), (1000, 10)):
         a = cd.thm1_set(n)
         blk = cd.thm1_block(n, k)
-        assert cd.is_convex(blk.values)
-        for pos, v in enumerate(blk.values):
+        assert cd.is_convex(blk)
+        for pos, v in enumerate(blk):
             i = pos + 1
             assert v == a[i + k - 1] - a[i - 1]
 
 
 def test_thm1_block_gap_identity():
     n, k = 300, 3
-    p = Thm1Params.for_n(n, strict=False)
+    c1, c2 = F(75, n * n), F(1, n**5)
     blk = cd.thm1_block(n, k)
-    for pos in range(1, len(blk.values)):
+    for pos in range(1, len(blk)):
         i = pos  # gap between entries at i and i+1
-        gap = blk.values[pos] - blk.values[pos - 1]
-        assert gap == 2 * p.c1 * k + 3 * p.c2 * k * k + 3 * p.c2 * k + 6 * p.c2 * k * i
+        gap = blk[pos] - blk[pos - 1]
+        assert gap == 2 * c1 * k + 3 * c2 * k * k + 3 * c2 * k + 6 * c2 * k * i
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_thm1_params_closed_form_matches_the_set(n):
+    # Every offset k = 1..n-1, not only the glue window, against a_{i+k} - a_i.
+    p = Thm1Params.for_n(n)
+    a = cd.thm1_set(n).over(n**5)
+    for k in range(1, n):
+        for i in range(1, n - k + 1):
+            assert p.gap(k, i) == a[i + k - 1] - a[i - 1], (k, i)
+    for k in range(p.k_min, p.k_max + 1):
+        assert p.block(k) == list(cd.thm1_block(n, k).over(n**5))
 
 
 def test_thm1_block_k_out_of_range():
@@ -152,7 +161,7 @@ def test_glue_chain_single_block():
     # n=400 has k-window [4, 4]: no splices, S is D_4 itself
     s, trace = cd.glue_chain(400)
     assert trace.splices == ()
-    assert s == cd.thm1_block(400, 4).values
+    assert s == cd.thm1_block(400, 4)
     assert len(s) == 396
 
 
@@ -170,7 +179,7 @@ def test_glue_chain_block_survival():
     p = Thm1Params.for_n(n, strict=False)
     sv = list(s)
     for k in range(p.k_min, p.k_max + 1):
-        blk = cd.thm1_block(n, k).values
+        blk = cd.thm1_block(n, k)
         lo, hi = blk[0], blk[-1]
         assert any(lo <= x <= hi for x in sv)
 
@@ -205,10 +214,10 @@ def test_lenient_glue_chain_every_n_below_400():
 def _reference_glue_chain(n, strict):
     """The slow check: fold glue_pair over the Fraction blocks thm1_block(n, k)."""
     p = Thm1Params.for_n(n, strict)
-    running = cd.thm1_block(n, p.k_min, strict).values
+    running = cd.thm1_block(n, p.k_min, strict)
     splices = []
     for k in range(p.k_min + 1, p.k_max + 1):
-        running, (i, j) = cd.glue_pair(running, cd.thm1_block(n, k, strict).values)
+        running, (i, j) = cd.glue_pair(running, cd.thm1_block(n, k, strict))
         splices.append((k, j, i))
     return running, splices
 

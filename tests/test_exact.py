@@ -53,6 +53,13 @@ def test_scalar_json_round_trip():
         "3/4",
         {"num": "\u00b2", "den": "1"},  # superscript two: isdigit() but not int()-able
         {"num": "\u0661", "den": "1"},  # Arabic-Indic one: int() would read it as 1
+        # Not canonical: int() reads each of these, but only "0" or str(n) is written.
+        {"num": "-0", "den": "1"},
+        {"num": "007", "den": "1"},
+        {"num": "-07", "den": "1"},
+        {"num": "7", "den": "01"},
+        {"num": "-0", "den": "001"},
+        {"num": "00", "den": "1"},
     ],
 )
 def test_scalar_json_rejects(payload):
@@ -193,6 +200,8 @@ def test_restricted_sets():
     assert [int(x) for x in cd.restricted_sum_set(a, m)] == [5, 10]
     with pytest.raises(InvalidMatching):
         cd.restricted_difference_set(RealSet((1, 2, 4)), m)
+    with pytest.raises(InvalidMatching):
+        cd.restricted_sum_set(RealSet((1, 2, 4)), m)
 
 
 def test_restricted_difference_collapses_equal_values():

@@ -35,7 +35,7 @@ def _ties(m):
 
 def _thm1_window(n, k, w):
     """w consecutive values of a thm1 block, as ints over n^5."""
-    block = cd.thm1_block(n, k).values.elements[:w]
+    block = cd.thm1_block(n, k).elements[:w]
     return [int(x * n**5) for x in block]
 
 
