@@ -85,6 +85,8 @@ def _read_realset(path: str) -> RealSet:
             raise InvalidInput(f"{path} is not UTF-8 text: {exc}") from exc
         except ValueError as exc:  # a number literal beyond sys.get_int_max_str_digits()
             raise InvalidInput(f"{path} holds a number too long to read: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput(f"{path} nests too deeply to read: {exc}") from exc
     return RealSet.from_json(payload)
 
 

@@ -156,7 +156,7 @@ def _best_splice(ea: Sequence, eb: Sequence) -> Optional[tuple[int, int]]:
         i_hi = min(num_le, m - 1)  # b_i <= a_j and b_{i+1} must exist
         if i_lo <= i_hi:
             size = (j_idx + 1) + (m - i_lo)
-            if size > best_size or (size == best_size and i_lo < best_i):
+            if size > best_size:  # an equal size at a later j has a larger i_lo
                 best_size, best_i, best_j = size, i_lo, j_idx + 1
     return (best_i, best_j) if best_size >= 0 else None
 

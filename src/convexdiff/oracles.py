@@ -3,12 +3,13 @@
 Every oracle returns an OracleResult carrying the exact value, a witness that
 is re-validated before returning, and an exhaustiveness flag. Witnesses are
 the lexicographically smallest optimizers, so results are stable across runs
-and kernel tiers.
+and across the dtypes of the one LCS kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -34,7 +35,10 @@ class OracleResult:
 
 
 def lcs_convex(b: RealSet) -> OracleResult:
-    """Size of the largest convex subset of B, by the suffix DP over last-two states."""
+    """Size of the largest convex subset of B, by the suffix DP over last-two states.
+
+    One kernel builds the table for ints of any size; its tiers differ only in dtype.
+    """
     m = len(b)
     if m == 0:
         raise InvalidInput("lcs_convex needs a nonempty set")
@@ -42,26 +46,20 @@ def lcs_convex(b: RealSet) -> OracleResult:
         return OracleResult(m, b, True)
     scaled = b.ints
     g, _tier = kernels.compute_table(scaled)
-    # One pass for the row maxima (entries g[a][t<=a] are 0); the witness
-    # starts at the first row reaching the maximum, at its first such column.
-    if isinstance(g, list):
-        row_best = [max(row) for row in g]
-    else:
-        row_best = g.max(axis=1).tolist()
+    # One pass for the row maxima (entries g[a][t<=a] are 0). The witness
+    # starts at the first row reaching the maximum; each step then takes the
+    # first r at or past the kernel's threshold whose entry is still needed.
+    row_best = [max(row) for row in g] if isinstance(g, list) else g.max(axis=1).tolist()
     total = max(row_best)
-    a1 = row_best.index(total)
-    t1 = next(t for t in range(a1 + 1, m) if g[a1][t] == total)
-    seq = [a1, t1]
-    p, q, need = a1, t1, total
-    while need > 2:
-        thr = 2 * scaled[q] - scaled[p]
-        for r in range(q + 1, m):
-            if scaled[r] > thr and int(g[q][r]) == need - 1:
-                seq.append(r)
-                p, q, need = q, r, need - 1
-                break
-        else:
-            raise AssertionError("table inconsistent: no continuation found")
+    seq = [row_best.index(total)]
+    lo, need = seq[0] + 1, total
+    while need > 1:
+        q = seq[-1]
+        r = next((r for r in range(lo, m) if g[q][r] == need), None)
+        if r is None:
+            raise AssertionError(f"table inconsistent: no entry {need} in row {q} from {lo}")
+        seq.append(r)
+        lo, need = bisect_right(scaled, 2 * scaled[r] - scaled[q], r + 1), need - 1
     witness = RealSet([scaled[t] for t in seq], den=b.den)
     assert len(witness) == total and is_convex(witness)
     return OracleResult(total, witness, True)

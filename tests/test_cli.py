@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -319,6 +320,17 @@ def test_readme_examples_parse():
         build_parser().parse_args(words[1:])
 
 
+def test_readme_claim_ids_are_emitted():
+    quoted = re.findall(r'"claim_id": "([^"]*)"', (ROOT / "README.md").read_text(encoding="utf-8"))
+    emitted = {
+        cd.verify_claim_2_1(100).claim_id,
+        cd.verify_claim_2_2(100).claim_id,
+        cd.verify_thm1_size(100).claim_id,
+        cd.verify_claims_3(4).claim_id,
+    }
+    assert quoted and set(quoted) <= emitted
+
+
 def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = main(["oracle", "lcs", "--in", str(tmp_path / "missing.json")])
     assert rc == 2
@@ -330,6 +342,15 @@ def test_malformed_input_json_exits_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["oracle", "lcs", "--in", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_input_json_exits_2(tmp_path):
+    # json.load raises RecursionError here, which is not a failed verification (exit 1).
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    res = _run_cli("oracle", "lcs", "--in", str(deep))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "nests too deeply" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_non_ascii_digits_exit_2(tmp_path, capsys):
