@@ -3,7 +3,7 @@
 Every oracle returns an OracleResult carrying the exact value, a witness that
 is re-validated before returning, and an exhaustiveness flag. Witnesses are
 the lexicographically smallest optimizers, so results are stable across runs
-and across the dtypes of the one LCS kernel.
+and across the two LCS kernel tiers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ class OracleResult:
 def lcs_convex(b: RealSet) -> OracleResult:
     """Size of the largest convex subset of B, by the suffix DP over last-two states.
 
-    One kernel builds the table for ints of any size; its tiers differ only in dtype.
+    `kernels.compute_table` builds the table for ints of any size. Its int64
+    tier runs the level pass and its big-int tier the column pass; both return
+    the same table, so the value and the witness do not depend on the tier.
     """
     m = len(b)
     if m == 0:

@@ -7,6 +7,7 @@ that |S(n)| lies between the documented size floor and the block-capacity
 cap, both of order n^2.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -130,21 +131,31 @@ def test_a4_digit_set_matchings_and_block_claims():
     assert ok
 
 
+# Digest of every exact A5 value and witness, in A5's order; the values sum to 67786.
+A5_DIGEST = "bdf1ddd6e0170d97"
+
+
 def test_a5_difference_set_lower_bound():
     failures = 0
     checked = 0
+    total = 0
+    digest = hashlib.sha256()
     for n in range(5, 41):
-        sq = cd.squares_set(n)
-        if cd.lcs_convex(cd.difference_set(sq)).value < n:
-            failures += 1
-        checked += 1
-        for j in range(50):
-            a = cd.gen_convex_random(n, 5000 + 97 * n + j)
-            if cd.lcs_convex(cd.difference_set(a)).value < n:
+        sets = [cd.squares_set(n)] + [cd.gen_convex_random(n, 5000 + 97 * n + j) for j in range(50)]
+        for a in sets:
+            r = cd.lcs_convex(cd.difference_set(a))
+            if r.value < n:
                 failures += 1
             checked += 1
-    ok = failures == 0
-    _line("A5 difference-set bound", ok, f"{checked} sets, {failures} below |A|")
+            total += r.value
+            digest.update(repr((r.value, r.witness.ints, r.witness.den)).encode())
+    pinned = (total, digest.hexdigest()[:16]) == (67786, A5_DIGEST)
+    ok = failures == 0 and pinned
+    _line(
+        "A5 difference-set bound",
+        ok,
+        f"{checked} sets, {failures} below |A|, values sum {total}, digest pinned: {pinned}",
+    )
     assert ok
 
 

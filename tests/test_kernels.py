@@ -66,18 +66,22 @@ def test_int64_guard_forces_python_tier():
 
 
 def test_tiers_agree_on_random_tables():
+    # The numpy tier runs the level pass and the python tier the column pass,
+    # so this compares two algorithms. Beyond the random inputs: a convex
+    # window (L = m, the most levels), the same window made near-convex by a
+    # midpoint, tie-heavy sets, and a large difference set (L << m).
     rng = random.Random(99)
-    tiers = available_tiers()
-    for _ in range(40):
-        vals = _random_scaled(rng, rng.randrange(2, 30))
-        tables = {}
-        for t in tiers:
-            table, used = compute_table(vals, force=t)
-            assert used == t
-            tables[t] = [[int(x) for x in row] for row in table]
-        ref = tables["python"]
-        for t in tiers:
-            assert tables[t] == ref
+    inputs = [_random_scaled(rng, rng.randrange(2, 30)) for _ in range(40)]
+    window = _thm1_window(300, 3, 400)
+    near_convex = window[:200] + [(window[199] + window[200]) // 2] + window[200:]
+    diffs = cd.difference_set(cd.gen_convex_random(62, 62)).ints
+    mid = (len(diffs) - 3000) // 2
+    inputs += [window, near_convex, *_ties(40), diffs[mid : mid + 3000]]
+    for vals in inputs:
+        fast, tier = compute_table(vals, force="numpy")
+        slow, slow_tier = compute_table(vals, force="python")
+        assert (tier, slow_tier) == ("numpy", "python")
+        assert fast.tolist() == slow
 
 
 def test_python_tier_handles_big_integers_exactly():
