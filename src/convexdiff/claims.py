@@ -2,26 +2,30 @@
 
 The block-interleaving, interval-count and size claims are checked with exact
 integer arithmetic on values scaled by n^5 (one common denominator for the
-whole cubic family, so every comparison is an int comparison). Those values
-come from the one closed form that constructions.Thm1Params owns. The digit-set
-claims are checked structurally: block membership is re-derived purely by
-digit decoding, never by remembering where a value came from, so a decoding
-bug cannot confirm itself. Growth tables back the quantitative conclusions.
+whole cubic family, so every comparison is an int comparison). The block
+values come from the d_i^(k) closed form that constructions.Thm1Params owns.
+Membership of the glued set in A - A is checked by definition instead, against
+the differences of the elements of thm1_set(n), so an error in either closed
+form shows up as a non-member. The digit-set claims are checked structurally:
+block membership is re-derived purely by digit decoding, never by remembering
+where a value came from, so a decoding bug cannot confirm itself. Growth
+tables back the quantitative conclusions.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Sequence
 
 from .constructions import (
     Thm1Params,
     glue_chain,
     squares_set,
+    thm1_set,
     thm3_block_of,
     thm3_set,
 )
@@ -132,57 +136,38 @@ def verify_claim_2_2(n: int) -> Report:
     )
 
 
-def _non_differences(n: int, values: Sequence[int], limit: int) -> list[int]:
-    """Scaled values that are not differences a_{i+k} - a_i, up to `limit` many.
+def _non_differences(n: int, values: Sequence[int]) -> list[int]:
+    """The values that are not differences of thm1_set(n), in input order.
 
-    Works purely from the closed form d_i^(k) = const + (lin + quad*i)*i of
-    Thm1Params.coeffs(k): the candidate offsets [k_lo, k_hi] are found by
-    bisecting the monotone block extrema, then each candidate's quadratic in
-    i is solved exactly and the root confirmed by evaluating the closed form
-    at it. The coefficients depend on k alone and are read once per candidate
-    offset. Independent of how the values were assembled.
+    Values are ints over n^5. Membership is read from the definition of A - A,
+    with A built by thm1_set from the a_i closed form: for each offset k, the
+    differences a_{i+k} - a_i are struck from the magnitudes still unmatched.
+    Block k spans [a_{1+k} - a_1, a_n - a_{n-k}] and both ends increase with
+    k, so the walk stops at the first block above the largest magnitude and
+    skips the blocks below the smallest. Zero is always a difference.
     """
-    p = Thm1Params.for_n(n)
-    block_max = [p.gap(k, n - k) for k in range(1, n)]
-    block_min = [p.gap(k, 1) for k in range(1, n)]
-    # k -> (const, lin, quad, lin^2 - 4quad*const): the discriminant is that + 4quad*v.
-    coeffs: dict[int, tuple[int, int, int, int]] = {}
-    bad: list[int] = []
-    for x in values:
-        v = abs(x)
-        if v == 0:
-            continue
-        k_lo = bisect_left(block_max, v) + 1  # smallest k whose block maximum reaches v
-        k_hi = bisect_right(block_min, v)  # largest k whose block minimum stays <= v
-        for k in range(k_lo, k_hi + 1):
-            c = coeffs.get(k)
-            if c is None:
-                const, lin, quad = p.coeffs(k)
-                c = coeffs[k] = (const, lin, quad, lin * lin - 4 * quad * const)
-            const, lin, quad, disc0 = c
-            disc = disc0 + 4 * quad * v
-            if disc < 0:
-                continue
-            root = math.isqrt(disc)
-            if root * root != disc:
-                continue
-            i, rem = divmod(root - lin, 2 * quad)
-            if rem == 0 and 1 <= i <= n - k and const + (lin + quad * i) * i == v:
+    a = thm1_set(n).over(n**5)
+    missing = set(map(abs, values))
+    missing.discard(0)
+    if missing:
+        low, high = min(missing), max(missing)
+        for k in range(1, len(a)):
+            if a[k] - a[0] > high:
                 break
-        else:
-            bad.append(x)
-            if len(bad) >= limit:
-                break
-    return bad
+            if a[-1] - a[-1 - k] >= low:
+                missing.difference_update(map(sub, a[k:], a[:-k]))
+    return [x for x in values if abs(x) in missing]
 
 
 def verify_thm1_size(n: int) -> Report:
     """Run the glue chain and re-verify convexity, membership, and the size bound.
 
     The set glue_chain returns is checked on its ints over n^5: convex, and
-    every element a difference by the closed form. The size must reach both
-    the per-block count times the number of interior blocks and the
-    quadratic floor n^2/4000.
+    every element a difference of thm1_set(n), found by subtracting its
+    elements. members_verified counts the elements that are differences; a
+    failure lists the first three that are not. The size must reach both the
+    per-block count times the number of interior blocks and the quadratic
+    floor n^2/4000.
     """
     p = Thm1Params.for_n(n)
     s, trace = glue_chain(n)
@@ -202,12 +187,12 @@ def verify_thm1_size(n: int) -> Report:
     if not gaps_increase(ints):
         counterexample = {"reason": "glued set is not convex"}
     else:
-        bad = _non_differences(n, ints, limit=3)
+        bad = _non_differences(n, ints)
         counts["members_verified"] = len(ints) - len(bad)
         if bad:
             counterexample = {
                 "reason": "element outside the difference set",
-                "elements": _element_strs(RealSet(bad, den=n**5)),
+                "elements": _element_strs(RealSet(bad[:3], den=n**5)),
             }
         elif len(ints) < required:
             counterexample = {

@@ -59,17 +59,14 @@ def _scalar_pair(obj: object) -> tuple[int, int]:
     num_s, den_s = obj["num"], obj["den"]
     if not isinstance(num_s, str) or not isinstance(den_s, str):
         raise InvalidInput("scalar num/den must be decimal strings")
-    stripped = num_s[1:] if num_s.startswith("-") else num_s
-    # isdigit() alone admits non-ASCII digits such as "²" or "١".
-    if not (stripped.isascii() and stripped.isdigit() and den_s.isascii() and den_s.isdigit()):
-        raise InvalidInput(f"malformed scalar strings: num={num_s!r} den={den_s!r}")
-    # Canonical: zero is "0", and no other number has a leading zero.
-    if num_s == "-0" or stripped[0] == "0" != stripped or den_s[0] == "0" != den_s:
-        raise InvalidInput(f"non-canonical scalar strings: num={num_s!r} den={den_s!r}")
     try:
         num, den = int(num_s), int(den_s)
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise InvalidInput(f"scalar too long to read: {exc}") from exc
+    except ValueError as exc:  # not an integer, or too long to read
+        raise InvalidInput(f"scalar strings not integers or too long to read: {exc}") from exc
+    # Canonical: only str(n) is written, so signs other than "-", spaces, underscores,
+    # leading zeros, "-0" and non-ASCII digits are refused.
+    if str(num) != num_s or str(den) != den_s:
+        raise InvalidInput(f"non-canonical scalar strings: num={num_s!r} den={den_s!r}")
     if den < 1:
         raise InvalidInput(f"scalar denominator must be >= 1, got {den}")
     if math.gcd(num, den) != 1:

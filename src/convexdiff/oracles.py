@@ -1,7 +1,8 @@
 """Exact oracles for the extremal quantities, independent of the constructions.
 
-Every oracle returns an OracleResult carrying the exact value, a witness that
-is re-validated before returning, and an exhaustiveness flag. Witnesses are
+Every oracle returns an OracleResult carrying the exact value and a witness
+that is re-validated before returning. Every oracle searches its whole space
+or refuses the input, so every result is exhaustive. Witnesses are
 the lexicographically smallest optimizers, so results are stable across runs
 and across the two LCS kernel tiers.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 from . import kernels
 from .errors import InvalidInput, TooLarge
@@ -20,11 +21,11 @@ from .exact import Matching, RealSet, gaps_increase, is_convex, restricted_diffe
 
 @dataclass(frozen=True)
 class OracleResult:
-    """An extremal value, an optimizer achieving it, and an exhaustiveness flag."""
+    """An extremal value and an optimizer achieving it, found by an exhaustive search."""
 
     value: int
     witness: Union[RealSet, Matching]
-    exhaustive: bool
+    exhaustive: ClassVar[bool] = True
 
     def to_json(self) -> dict:
         return {
@@ -45,7 +46,7 @@ def lcs_convex(b: RealSet) -> OracleResult:
     if m == 0:
         raise InvalidInput("lcs_convex needs a nonempty set")
     if m <= 2:
-        return OracleResult(m, b, True)
+        return OracleResult(m, b)
     scaled = b.ints
     g, _tier = kernels.compute_table(scaled)
     # One pass for the row maxima (entries g[a][t<=a] are 0). The witness
@@ -64,7 +65,7 @@ def lcs_convex(b: RealSet) -> OracleResult:
         lo, need = bisect_right(scaled, 2 * scaled[r] - scaled[q], r + 1), need - 1
     witness = RealSet([scaled[t] for t in seq], den=b.den)
     assert len(witness) == total and is_convex(witness)
-    return OracleResult(total, witness, True)
+    return OracleResult(total, witness)
 
 
 # The brute force tries up to 2^m subsets; above this m it is refused.
@@ -83,7 +84,7 @@ def lcs_convex_bruteforce(b: RealSet) -> OracleResult:
         for combo in itertools.combinations(range(m), size):
             chosen = [vals[t] for t in combo]
             if gaps_increase(chosen):
-                return OracleResult(size, RealSet(chosen, den=b.den), True)
+                return OracleResult(size, RealSet(chosen, den=b.den))
     raise AssertionError("unreachable: every singleton is convex")
 
 
@@ -166,7 +167,7 @@ def max_convex_matching(a: RealSet) -> OracleResult:
     witness = Matching(base_size=n, pairs=best)
     assert len(witness) == best_size
     assert is_convex(restricted_difference_set(a, witness))
-    return OracleResult(best_size, witness, True)
+    return OracleResult(best_size, witness)
 
 
 def iter_convex_matchings(a: RealSet) -> Iterator[Matching]:
@@ -227,7 +228,7 @@ def max_weakly_convex_no4ap(n: int) -> OracleResult:
         gap, run, need = g2, nrun, need - 1
     witness = RealSet(seq, den=1)
     assert len(witness) == total
-    return OracleResult(total, witness, True)
+    return OracleResult(total, witness)
 
 
 def enumerate_convex_subsets(b: RealSet) -> Iterator[RealSet]:

@@ -127,6 +127,33 @@ def test_thm1_size_reports_non_member(monkeypatch):
     assert r.counts["members_verified"] == 1755
 
 
+def test_thm1_size_counts_every_non_member(monkeypatch):
+    # Every element moved by 1/n^5: still convex, and none is a difference.
+    ints = _glue_with(monkeypatch, lambda ints: [v + 1 for v in ints])
+    r = cd.verify_thm1_size(1000)
+    assert r.counterexample == {
+        "reason": "element outside the difference set",
+        "elements": [str(F(v, 1000**5)) for v in ints[:3]],
+    }
+    assert r.counts["size"] == 1756
+    assert r.counts["members_verified"] == 0
+
+
+def test_thm1_size_catches_planted_closed_form_fault(monkeypatch):
+    # The glue reads Thm1Params.coeffs; membership must not trust it.
+    coeffs = cd.Thm1Params.coeffs
+
+    def planted(self, k):
+        const, lin, quad = coeffs(self, k)
+        return const + (k == self.k_max), lin, quad
+
+    monkeypatch.setattr(cd.Thm1Params, "coeffs", planted)
+    r = cd.verify_thm1_size(1000)
+    assert not r.passed
+    assert r.counterexample["reason"] == "element outside the difference set"
+    assert r.counts["members_verified"] == 1756 - 773
+
+
 def _flatten_at_101(ints):
     # Still increasing, but the two gaps around ints[101] become equal.
     assert (ints[100] + ints[102]) % 2 == 0
@@ -152,11 +179,12 @@ def test_membership_check_catches_alien_elements():
     n = 300
     s, _ = cd.glue_chain(n)
     ints = list(s.over(n**5))
-    assert _non_differences(n, ints, limit=5) == []
+    assert _non_differences(n, ints) == []
     shifted = [v + 1 for v in ints]  # every element moved by 1/n^5
-    fails = _non_differences(n, shifted, limit=5)
-    assert 1 <= len(fails) <= 5
-    assert set(fails) <= set(shifted)
+    diffs = set(cd.difference_set(cd.thm1_set(n)).over(n**5))
+    expected = [v for v in shifted if v not in diffs]
+    assert expected
+    assert _non_differences(n, shifted) == expected
 
 
 @pytest.mark.parametrize("n", [100, 300])
@@ -165,12 +193,12 @@ def test_membership_check_agrees_with_difference_set(n):
     d = cd.difference_set(cd.thm1_set(n))
     vals = d.over(n5)
     nonzero = [v for v in vals if v != 0]
-    assert _non_differences(n, nonzero, limit=len(nonzero)) == []
-    assert _non_differences(n, [0], limit=1) == []
+    assert _non_differences(n, nonzero) == []
+    assert _non_differences(n, [0]) == []
     positive = [v for v in vals if v > 0]
     for shift in (-1, 1):  # by 1/n^5
         shifted = [v + shift for v in positive]
-        assert _non_differences(n, shifted, limit=len(shifted)) == shifted
+        assert _non_differences(n, shifted) == shifted
     # A denominator that does not divide n^5 is never a difference: such a
     # set has no ints over n^5 to check.
     alien = RealSet((d[-1] + F(1, 7 * n5),))

@@ -468,7 +468,7 @@ def test_no4ap_and_cm_output_match_reference_encoder(tmp_path, capsys):
 
 def test_too_long_witness_exits_2(tmp_path, capsys, monkeypatch, digit_limit):
     huge = RealSet([1, 10**5000])  # 5001 digits: beyond the limit, built without str()
-    monkeypatch.setattr(cd.oracles, "lcs_convex", lambda b: cd.OracleResult(2, huge, True))
+    monkeypatch.setattr(cd.oracles, "lcs_convex", lambda b: cd.OracleResult(2, huge))
     inp = _write_set(tmp_path / "a.json", [1, 2])
     assert main(["oracle", "lcs", "--in", inp]) == 2
     out, err = capsys.readouterr()

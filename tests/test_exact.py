@@ -60,6 +60,10 @@ def test_scalar_json_round_trip():
         {"num": "7", "den": "01"},
         {"num": "-0", "den": "001"},
         {"num": "00", "den": "1"},
+        {"num": "+7", "den": "1"},
+        {"num": " 7", "den": "1"},
+        {"num": "7_0", "den": "1"},
+        {"num": "\uff17", "den": "1"},  # full-width seven: int() reads it as 7
     ],
 )
 def test_scalar_json_rejects(payload):
