@@ -162,11 +162,14 @@ def _best_splice(ea: Sequence, eb: Sequence) -> Optional[tuple[int, int]]:
 
 
 def _splice(ea: Sequence, eb: Sequence) -> tuple[Sequence, tuple[int, int]]:
-    """Check both sorted sequences convex, then splice them as glue_pair does."""
-    if not gaps_increase(ea):
-        raise InvalidInput("glue_pair: first argument is not convex")
-    if not gaps_increase(eb):
-        raise InvalidInput("glue_pair: second argument is not convex")
+    """Splice sorted convex sequences as glue_pair does, checking only the seam.
+
+    The caller checks that ea and eb are convex. Given that, the result is
+    convex exactly when its gaps increase across the join, so only the <= 4
+    elements a_(j-1), a_j, b_(i+1), b_(i+2) are read. The interleaving makes
+    that hold for every splice _best_splice may return, so a seam that fails
+    is a fault in the program and raises AssertionError.
+    """
     found = _best_splice(ea, eb)
     if found is None:
         raise NoSplice(
@@ -174,6 +177,8 @@ def _splice(ea: Sequence, eb: Sequence) -> tuple[Sequence, tuple[int, int]]:
             f"(|A|={len(ea)}, |B|={len(eb)})"
         )
     i, j = found
+    if not gaps_increase([*ea[max(j - 2, 0) : j], *eb[i : i + 2]]):
+        raise AssertionError(f"splice (i, j) = {found} leaves a non-convex seam")
     return ea[:j] + eb[i:], found
 
 
@@ -184,26 +189,46 @@ def glue_pair(a: RealSet, b: RealSet) -> tuple[RealSet, tuple[int, int]]:
     returns ({a_1..a_j, b_{i+1}..b_m}, (i, j)). Among valid splices the
     output-size-maximizing one is chosen, ties broken by smallest i, which
     makes the result a deterministic function of (A, B).
+
+    Both inputs are checked convex (InvalidInput otherwise) and the seam of
+    the result is checked; with the RealSet's own order check, the glued set
+    returned is verified convex.
     """
+    if not is_convex(a):
+        raise InvalidInput("glue_pair: first argument is not convex")
+    if not is_convex(b):
+        raise InvalidInput("glue_pair: second argument is not convex")
     den = math.lcm(a.den, b.den)
     merged, ij = _splice(a.over(den), b.over(den))
     return RealSet(merged, den=den), ij
+
+
+def _convex_block(params: Thm1Params, k: int) -> list[int]:
+    """params.block(k), checked convex: the one check glue_chain makes on D_k."""
+    block = params.block(k)
+    if not gaps_increase(block):
+        raise InvalidInput(f"glue_chain: block D_{k} is not convex for n={params.n}")
+    return block
 
 
 def glue_chain(n: int, strict: bool = False) -> tuple[RealSet, GlueTrace]:
     """Glue the blocks D_{k_min}, ..., D_{k_max} into one convex set.
 
     Returns the running set and the trace of splices. The blocks are spliced
-    as ints scaled by n^5, with the same checks and choices as glue_pair on
-    thm1_block values; the result becomes a RealSet once, at the end. A
+    as ints scaled by n^5, with the same choices as glue_pair on thm1_block
+    values; the result becomes a RealSet once, at the end. Each block is
+    checked convex once, when it is built (InvalidInput otherwise), and each
+    splice checks its seam. A convex set spliced to a convex block across a
+    convex seam is convex, so by induction the finished set, its last seam
+    included, is verified convex without re-reading the running set. A
     NoSplice from any step propagates; for valid n that would contradict the
     interleaving claim and is treated as a verification failure by callers.
     """
     params = Thm1Params.for_n(n, strict)
-    running = params.block(params.k_min)
+    running = _convex_block(params, params.k_min)
     records = []
     for k in range(params.k_min + 1, params.k_max + 1):
-        running, (i, j) = _splice(running, params.block(k))
+        running, (i, j) = _splice(running, _convex_block(params, k))
         records.append(SpliceRecord(k=k, j=j, i=i))
     return RealSet(running, den=n**5), GlueTrace(tuple(records))
 

@@ -14,7 +14,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Union
 
-from . import kernels
 from .errors import InvalidInput, TooLarge
 from .exact import Matching, RealSet, gaps_increase, is_convex, restricted_difference_set
 
@@ -42,6 +41,8 @@ def lcs_convex(b: RealSet) -> OracleResult:
     tier runs the level pass and its big-int tier the column pass; both return
     the same table, so the value and the witness do not depend on the tier.
     """
+    from . import kernels  # here, not at module level: only table builds load numpy
+
     m = len(b)
     if m == 0:
         raise InvalidInput("lcs_convex needs a nonempty set")

@@ -16,6 +16,7 @@ from convexdiff import (
     NoSplice,
     RealSet,
     Thm1Params,
+    constructions,
 )
 
 
@@ -155,6 +156,24 @@ def test_glue_chain_frozen_n1000():
     assert cd.is_convex(s)
     p = Thm1Params.for_n(1000, strict=False)
     assert len(trace.splices) == p.k_max - p.k_min
+
+
+def test_glue_chain_reads_each_block_and_seam_once(monkeypatch):
+    # Work-count pin: convexity is read once per block, when it is built, and
+    # once per seam (<= 4 elements), never by re-reading the running set.
+    read = []
+    gaps_increase = constructions.gaps_increase
+
+    def counted(values, *args, **kwargs):
+        read.append(len(values))
+        return gaps_increase(values, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "gaps_increase", counted)
+    s, trace = cd.glue_chain(10000)
+    p = Thm1Params.for_n(10000)
+    blocks = p.k_max - p.k_min + 1
+    assert (len(s), len(trace.splices), blocks) == (80812, 10, 11)
+    assert sum(read) <= blocks * p.i_max + 4 * len(trace.splices) == 108940
 
 
 def test_glue_chain_single_block():

@@ -1,7 +1,11 @@
-"""Module boundaries inside the package: no module reads a sibling's private names
-or imports a name it does not use."""
+"""Module boundaries inside the package: no module reads a sibling's private names,
+imports a name it does not use, or loads numpy for a command that never needs it."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import convexdiff
@@ -53,3 +57,23 @@ def test_every_imported_name_is_used():
             if name not in used
         ]
     assert found == []
+
+
+def test_numpy_loads_only_with_the_lcs_kernel(tmp_path):
+    # Only kernels uses numpy, and only lcs_convex imports kernels. A fresh
+    # interpreter shows what each command loads; this one already holds numpy.
+    inp = tmp_path / "b.json"
+    inp.write_text(json.dumps(convexdiff.RealSet.from_values([1, 2, 3, 5]).to_json()))
+    script = (
+        "import sys\n"
+        "from convexdiff.cli import main\n"
+        "assert main(['verify', 'claim22', '--n', '1000']) == 0\n"
+        "before = 'numpy' in sys.modules\n"
+        f"assert main(['oracle', 'lcs', '--in', {str(inp)!r}]) == 0\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "False True"
