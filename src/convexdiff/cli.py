@@ -12,7 +12,8 @@ import functools
 import json
 import sys
 import textwrap
-from typing import Optional, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import claims, constructions, oracles
 from .errors import ConvexDiffError, InvalidInput, InvalidParams, TooLarge
@@ -23,7 +24,9 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _write(chunks: Sequence[str], out: Optional[str]) -> None:
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write the pieces one after another, each as soon as it is made, to
+    the file out (created or truncated) or, without out, to stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -38,41 +41,74 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 # One element of a RealSet as json.dumps(..., indent=2) lays it out at the top level.
 _SET_ITEM = '    {\n      "num": "%d",\n      "den": "%d"\n    }'
 
+# Elements per piece of a written set: the writer holds one piece at a time.
+_PIECE = 4096
 
-def _set_chunks(s: RealSet, pad: str = "") -> list[str]:
+
+def _check_writable(s: RealSet) -> None:
+    """Raise TooLarge unless every reduced num and den of s can be written in
+    decimal, that is, has at most sys.get_int_max_str_digits() digits.
+
+    Reduction never makes a number longer, so the bound on s's own ints and
+    den settles almost every set at once; only a set beyond it is reduced
+    element by element. Pythons before 3.10.7 have no limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit is not None else 0
+    if not limit or not s.ints:  # 0: no limit
+        return
+    bound = 10**limit  # str(x) raises exactly when |x| >= bound
+    if max(-s.ints[0], s.ints[-1], s.den) < bound:
+        return
+    for p, q in s.reduced():
+        if abs(p) >= bound or q >= bound:
+            raise TooLarge(
+                f"set element too long to write in decimal: more than {limit} digits"
+                " (sys.get_int_max_str_digits())"
+            )
+
+
+def _set_chunks(s: RealSet, pad: str = "") -> Iterator[str]:
     """json.dumps(s.to_json(), indent=2) as it reads nested under `pad`, in
-    pieces (head, items, tail) so that the large middle is never copied.
+    pieces of at most _PIECE elements, each made only when it is asked for.
 
     json.dumps uses its C encoder only without indent, and the pure-Python
     one is most of the cost of a large set. The elements hold only digits
-    and "-", so nothing needs escaping.
+    and "-", so nothing needs escaping. The caller runs _check_writable(s)
+    first: a number too long for str() would fail here part way through.
     """
     if len(s) == 0:
-        return [f'{{\n{pad}  "elements": []\n{pad}}}']
+        yield f'{{\n{pad}  "elements": []\n{pad}}}'
+        return
     item = textwrap.indent(_SET_ITEM, pad)
-    try:
-        items = ",\n".join(item % pair for pair in s.reduced())
-    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-        raise TooLarge(f"set element too long to write in decimal: {exc}") from exc
-    return [f'{{\n{pad}  "elements": [\n', items, f"\n{pad}  ]\n{pad}}}"]
+    pairs = s.reduced()
+    lead = f'{{\n{pad}  "elements": [\n'
+    for _ in range(0, len(s), _PIECE):
+        yield lead + ",\n".join(item % pair for pair in islice(pairs, _PIECE))
+        lead = ",\n"
+    yield f"\n{pad}  ]\n{pad}}}"
 
 
 def _emit_set(s: RealSet, out: Optional[str]) -> None:
-    """Write s exactly as _emit(s.to_json(), out) would. No file is opened
-    before the text is built."""
-    _write(_set_chunks(s) + ["\n"], out)
+    """Write s exactly as _emit(s.to_json(), out) would, streamed in pieces.
+    TooLarge is raised before out is opened or anything is printed."""
+    _check_writable(s)
+    _write(chain(_set_chunks(s), ("\n",)), out)
 
 
 def _emit_oracle(res: oracles.OracleResult) -> None:
-    """Print res exactly as _emit(res.to_json(), None) would, a RealSet witness by _set_chunks."""
+    """Print res exactly as _emit(res.to_json(), None) would, a RealSet
+    witness streamed by _set_chunks. TooLarge is raised before anything is
+    printed."""
     if not isinstance(res.witness, RealSet):
         _emit(res.to_json(), None)
         return
+    _check_writable(res.witness)
     head = '{\n  "value": %s,\n  "exhaustive": %s,\n  "witness": ' % (
         json.dumps(res.value),
         json.dumps(res.exhaustive),
     )
-    _write([head, *_set_chunks(res.witness, "  "), "\n}\n"], None)
+    _write(chain((head,), _set_chunks(res.witness, "  "), ("\n}\n",)), None)
 
 
 def _read_realset(path: str) -> RealSet:

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import convexdiff as cd
-from convexdiff import Matching, RealSet, Report
-from convexdiff.cli import _emit_set, build_parser, main
+from convexdiff import Matching, RealSet, Report, TooLarge
+from convexdiff.cli import _check_writable, _emit_set, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -367,15 +367,6 @@ def test_non_utf8_input_exits_2(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-@pytest.fixture
-def digit_limit():
-    """Python's default limit of 4300 digits on int/str conversion, for one test."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(old)
-
-
 def test_too_long_output_exits_2(tmp_path, capsys, digit_limit):
     # The elements of thm3_set(1400) have up to 4829 decimal digits.
     out = tmp_path / "a.json"
@@ -404,6 +395,38 @@ def test_values_at_the_digit_limit_round_trip(tmp_path, capsys, digit_limit):
     assert main(["oracle", "lcs", "--in", str(path)]) == 0
     result = json.loads(capsys.readouterr().out)
     assert result["value"] == 3 and RealSet.from_json(result["witness"]) == s
+
+
+@pytest.mark.parametrize(
+    "at", [lambda x: x, lambda x: -x, lambda x: F(1, x)], ids=["num", "-num", "den"]
+)
+def test_digit_limit_is_exact_and_checked_before_opening(at, tmp_path, digit_limit):
+    top = 10**digit_limit - 1
+    fits, over = tmp_path / "fits.json", tmp_path / "over.json"
+    s = RealSet.from_values((0, at(top)))
+    _emit_set(s, str(fits))
+    assert RealSet.from_json(json.loads(fits.read_text())) == s
+    with pytest.raises(TooLarge, match="too long to write"):
+        _emit_set(RealSet.from_values((0, at(top + 1))), str(over))
+    assert not over.exists()
+
+
+def test_no_digit_limit_function_means_no_limit(monkeypatch):
+    # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits, and no limit.
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    _check_writable(RealSet([1, 10**5000]))
+
+
+def test_set_writer_holds_one_piece_not_the_whole_text(tmp_path):
+    s = RealSet(range(7 * 10**18, 7 * 10**18 + 60000, 3), den=10**20)  # 20,000 elements
+    out = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        _emit_set(s, str(out))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 1_600_000 and peak < 1_500_000  # 1.70 MB file, 0.93 MB peak
 
 
 def _reference_set_text(s):
@@ -467,7 +490,7 @@ def test_no4ap_and_cm_output_match_reference_encoder(tmp_path, capsys):
 
 
 def test_too_long_witness_exits_2(tmp_path, capsys, monkeypatch, digit_limit):
-    huge = RealSet([1, 10**5000])  # 5001 digits: beyond the limit, built without str()
+    huge = RealSet([1, 10**digit_limit])  # one digit beyond the limit, built without str()
     monkeypatch.setattr(cd.oracles, "lcs_convex", lambda b: cd.OracleResult(2, huge))
     inp = _write_set(tmp_path / "a.json", [1, 2])
     assert main(["oracle", "lcs", "--in", inp]) == 2

@@ -3,13 +3,14 @@
 A fault is a monkeypatch of a module attribute; nothing under src/ is
 written. Each row first runs its check without the fault, where it must
 pass, so that no row can pass vacuously. A check that turns red must also
-leave no output behind.
+leave no output behind, except in the last test, which shows that without
+the writer's digit pre-check a too-long set does leave output behind.
 """
 
 import pytest
 
 import convexdiff as cd
-from convexdiff import InvalidInput, Thm1Params, constructions
+from convexdiff import InvalidInput, Thm1Params, cli, constructions
 from convexdiff.cli import main
 
 
@@ -62,3 +63,16 @@ def test_planted_fault_turns_its_check_red(plant, check, error, monkeypatch, tmp
     with pytest.raises(error):
         check(planted)
     assert list(planted.iterdir()) == []
+
+
+def test_digit_precheck_is_what_keeps_too_long_sets_unwritten(monkeypatch, tmp_path, digit_limit):
+    """The elements of thm3_set(1400) have up to 4829 digits. With the pre-check
+    the command exits 2 and writes no file; without it the streamed write
+    fails part way, after the file is opened."""
+    out = tmp_path / "a.json"
+    argv = ["construct", "thm3", "--n", "1400", "--out", str(out)]
+    assert main(argv) == 2 and not out.exists()
+    monkeypatch.setattr(cli, "_check_writable", lambda s: None)
+    with pytest.raises(ValueError, match="digits"):
+        main(argv)
+    assert out.exists()
